@@ -196,14 +196,26 @@ def cmd_reduce(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config = _read_json(args.input)
-    report = run_pipeline(config)
+    report: dict = {}
+    try:
+        run_pipeline(config, report)
+    except E.CubicDescentError:
+        # the stages finished before the error still explain the run
+        if report:
+            _write_json(report, args.output)
+        raise
     _write_json(report, args.output)
     return 0
 
 
-def run_pipeline(config: dict) -> dict:
+def run_pipeline(config: dict, report: dict | None = None) -> dict:
     """descend -> search -> blow up the minimal point -> reduce -> verify
-    -> tritangents -> frobenius; every stage timed and recorded."""
+    -> tritangents -> frobenius; every stage timed and recorded.
+
+    The run report is built in `report` (a new dict by default) and
+    returned; when a stage raises, `report` keeps what the finished
+    stages recorded.
+    """
     allowed = {"p", "x", "l", "height", "primes"}
     unknown = set(config) - allowed
     if unknown:
@@ -215,7 +227,9 @@ def run_pipeline(config: dict) -> dict:
         raise E.InvalidConfigError("height must be positive")
     primes_cfg = config.get("primes", {"count": 40, "bound": 500})
     timings: dict = {}
-    report: dict = {"schema": "run-report@1", "timings": timings}
+    if report is None:
+        report = {}
+    report.update({"schema": "run-report@1", "timings": timings})
 
     t0 = time.monotonic()
     inp = _descent_input_from_config(

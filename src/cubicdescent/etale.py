@@ -232,9 +232,5 @@ class AlgElement:
         return f"AlgElement({self.poly})"
 
 
-def different_of(x: AlgElement) -> AlgElement:
-    return x.different()
-
-
 def is_generator(x: AlgElement) -> bool:
     return x.is_generator()

@@ -101,15 +101,6 @@ def reduce_dp4_mod_p(V, p: int):
     return g0, g1
 
 
-def _projective_reps(q: int, dim: int):
-    """Representatives of P^dim(F_q): leading coordinate 1."""
-    for lead in range(dim, -1, -1):
-        shape = [q] * (dim - lead)
-        grids = np.indices(shape).reshape(dim - lead, -1).T if dim - lead else [[]]
-        for tail in grids:
-            yield (0,) * lead + (1,) + tuple(int(t) for t in tail)
-
-
 def count_points_cubic(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """#S(F_p) for the cubic surface, by full enumeration over P^3(F_p)."""
     total_pts = p ** 3 + p ** 2 + p + 1

@@ -18,16 +18,6 @@ def gp_trim(f):
     return f
 
 
-def gp_add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return gp_trim(out)
-
-
 def gp_sub(f, g, p):
     n = max(len(f), len(g))
     out = [0] * n
@@ -98,13 +88,6 @@ def gp_pow_mod(f, e, g, p):
         f = gp_rem(gp_mul(f, f, p), g, p)
         e >>= 1
     return result
-
-
-def gp_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def gp_deriv(f, p):
@@ -277,30 +260,6 @@ class ExtField:
         inv = gp_rem(inv, self.modulus, p)
         return tuple(inv) + (0,) * (self.k - len(inv))
 
-    def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
-
-    def is_square(self, a) -> bool:
-        """Euler criterion; a must be nonzero and p odd."""
-        if self.p == 2:
-            return True
-        if self.is_zero(a):
-            raise ZeroDivisionError("square test of zero")
-        return self.pow(a, (self.q - 1) // 2) == self.one()
-
     def elements(self):
         for tup in product(range(self.p), repeat=self.k):
             yield tup
-
-    def reduce_unipoly(self, f) -> tuple:
-        """Image of a rational UniPoly's value list mod (p, modulus)."""
-        from fractions import Fraction
-
-        p = self.p
-        out = []
-        for c in f.coeffs:
-            c = Fraction(c)
-            if c.denominator % p == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            out.append(c.numerator * pow(c.denominator, p - 2, p) % p)
-        return self.element(out)

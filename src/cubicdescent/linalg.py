@@ -68,9 +68,6 @@ class Matrix:
     def column(self, j: int) -> tuple:
         return tuple(self._e[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       [self._e[i * self.cols + j]

@@ -1,14 +1,15 @@
 """Exhaustive bounded-height rational point search on quadric intersections.
 
 Height convention: max absolute coordinate of the primitive integer
-representative.  The kernel fixes the first three coordinates (outer
-O(H^3) iteration space, sign-normalized), eliminates the x4^2 terms by a
-constant pencil combination (the degree-1 subresultant of the two conics
-in x4), and reads x4 = v/u off that linear relation; specializations with
-u = v = 0 fall back to solving one conic exactly.  The inner (x2, x3)
-plane is evaluated as int64 numpy grids after an exact overflow audit,
-with object-dtype grids as the big-coefficient fallback; every candidate
-is re-verified in exact integer arithmetic before being reported.
+representative.  The kernel is a residue sieve with an exact finish.  For
+each prime ell in SIEVE_PRIMES a table over residues mod ell records which
+(x0, x1, x2, x3) mod ell extend to a common zero of both quadrics mod ell.
+Stage 1 masks the (x1, x2) grid of each x0 (sign-normalized) with the
+tables projected to three coordinates; stage 2 masks the x3 row of every
+surviving triple with the full tables.  Each surviving 4-tuple is solved
+for x4 as a conic in plain Python integers and every root is re-verified
+on both quadrics.  Only residues below ell enter numpy, so no coefficient
+size can overflow it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ import numpy as np
 from .descent import DP4Surface
 from .forms import ProjPoint, QuadForm
 
-INT64_GUARD = 1 << 62
+#: moduli of the residue sieve (see _residue_table)
+SIEVE_PRIMES = (3, 5, 7, 11, 13)
+#: the largest sum a residue table can reach: 15 monomials, each a
+#: coefficient residue times two coordinate residues, all below ell
+RESIDUE_BOUND = 15 * (max(SIEVE_PRIMES) - 1) ** 3
+assert RESIDUE_BOUND <= np.iinfo(np.int16).max
 
 
 @dataclass
@@ -102,24 +108,9 @@ def brute_force_search(V: DP4Surface, H: int) -> SearchResult:
     return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)
 
 
-def _quadric_parts(cs: dict):
-    """Split {(i,j): c} into the x3/x4 structure: constants A (x3^2),
-    B (x3x4), C (x4^2), linear maps D (x3), E (x4), quadratic F."""
-    A = cs.get((3, 3), 0)
-    B = cs.get((3, 4), 0)
-    C = cs.get((4, 4), 0)
-    D = [cs.get((j, 3), 0) for j in range(3)]
-    E = [cs.get((j, 4), 0) for j in range(3)]
-    F = {(i, j): cs.get((i, j), 0) for i in range(3) for j in range(i, 3)}
-    return A, B, C, D, E, F
-
-
-def _solve_conic_in_x4(A, B, C, D, E, F0, x3, H):
-    """Integer roots x4 of A*x3^2 + B*x3*x4 + C*x4^2 + D*x3 + E*x4 + F0,
-    with the triple already substituted into D, E, F0 (ints)."""
-    a = C
-    b = B * x3 + E
-    c = A * x3 * x3 + D * x3 + F0
+def _solve_conic_in_x4(a, b, c, H):
+    """Integer roots x4, |x4| <= H, of a*x4^2 + b*x4 + c (every x4 in
+    range when all three vanish)."""
     out = []
     if a == 0:
         if b == 0:
@@ -146,6 +137,33 @@ def _solve_conic_in_x4(A, B, C, D, E, F0, x3, H):
     return sorted(set(out))
 
 
+def _residue_table(c0: dict, c1: dict, ell: int) -> np.ndarray:
+    """Boolean table T[a0, a1, a2, a3] over residues mod ell: True iff some
+    a4 mod ell makes both integer forms vanish mod ell.
+
+    Every integer point reduces into a True entry, whether or not the
+    reduction mod ell is good, so the table only ever discards tuples with
+    no solution.  The sums run in int16 on residues in [0, ell): each of
+    the 15 monomials is at most (ell - 1)**3, see RESIDUE_BOUND.
+    """
+    a = [np.arange(ell, dtype=np.int16).reshape([-1 if k == i else 1
+                                                 for k in range(4)])
+         for i in range(4)]
+    forms = []
+    for cs in (c0, c1):
+        r = {k: v % ell for k, v in cs.items()}
+        fixed = sum(r[i, j] * a[i] * a[j] for i in range(4) for j in range(i, 4))
+        linear = sum(r[i, 4] * a[i] for i in range(4))
+        forms.append((fixed, linear, r[4, 4]))
+    table = np.zeros((ell,) * 4, dtype=bool)
+    for a4 in range(ell):
+        hit = True
+        for fixed, linear, square in forms:
+            hit = hit & ((fixed + a4 * linear + square * a4 * a4) % ell == 0)
+        table |= hit
+    return table
+
+
 def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
     """All points of V with primitive-representative height <= H.
 
@@ -157,17 +175,47 @@ def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
         raise ValueError("height bound must be >= 1")
     t0 = time.monotonic()
     c0, c1 = _int_quadrics(V)
-    m = max(max(abs(v) for v in c0.values()), max(abs(v) for v in c1.values()))
-    # worst-case |v| bound: see module docstring; stay clear of int64
-    dtype = np.int64 if 32 * m * m * (H + 1) ** 2 < INT64_GUARD else object
+    # Q0 as a conic a*x4^2 + b*x4 + c over (x0, x1, x2, x3)
+    sq = c0[4, 4]
+    lin = [c0[j, 4] for j in range(4)]
+    rest = [(i, j, c) for (i, j), c in c0.items() if j < 4 and c]
+    coords = np.arange(-H, H + 1)
+    sieve = []
+    for ell in SIEVE_PRIMES:
+        t4 = _residue_table(c0, c1, ell)
+        sieve.append((ell, t4, t4.any(axis=3), coords % ell))
+    # stage 2 runs on blocks of at most 2**20 (x1, x2, x3) cells
+    block = max(1, (1 << 20) // (2 * H + 1))
     found: set = set()
 
     lo, hi = (0, H) if x0_range is None else x0_range
     lo = max(lo, 0)
     for x0 in range(lo, hi + 1):
-        x1lo = -H if x0 > 0 else 0
-        for x1 in range(x1lo, H + 1):
-            _search_plane(c0, c1, x0, x1, H, dtype, found)
+        # stage 1: the (x1, x2) grid against every T3[x0 mod ell]
+        pairs = np.ones((2 * H + 1, 2 * H + 1), dtype=bool)
+        for ell, _, t3, res in sieve:
+            pairs &= t3[x0 % ell][np.ix_(res, res)]
+        if x0 == 0:
+            # sign normalization: x1 >= 0, and x2 > 0 when x1 = 0
+            pairs[:H] = False
+            pairs[H, :H + 1] = False
+        i1, i2 = np.nonzero(pairs)
+        # stage 2: the x3 row of each surviving triple against T4
+        for s in range(0, len(i1), block):
+            j1, j2 = i1[s:s + block], i2[s:s + block]
+            cells = np.ones((len(j1), 2 * H + 1), dtype=bool)
+            for ell, t4, _, res in sieve:
+                cells &= t4[x0 % ell][res[j1], res[j2]][:, res]
+            x1s, x2s = (j1 - H).tolist(), (j2 - H).tolist()
+            ks, i3s = np.nonzero(cells)
+            for k, i3 in zip(ks.tolist(), i3s.tolist()):
+                x = (x0, x1s[k], x2s[k], i3 - H)
+                b = sum(cj * xj for cj, xj in zip(lin, x))
+                c = sum(cij * x[i] * x[j] for i, j, cij in rest)
+                for x4 in _solve_conic_in_x4(sq, b, c, H):
+                    pt = x + (x4,)
+                    if _eval_int(c0, pt) == 0 and _eval_int(c1, pt) == 0:
+                        found.add(ProjPoint(pt))
 
     if x0_range is None or lo == 0:
         # x0 = x1 = x2 = 0 strata: points (0:0:0:x3:x4)
@@ -181,76 +229,6 @@ def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
 
     pts = sorted(found)
     return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)
-
-
-def _search_plane(c0, c1, x0, x1, H, dtype, found):
-    """Scan the (x2, x3, x4) block for fixed (x0, x1)."""
-    A0, B0, C0, D0, E0, F0 = _quadric_parts(c0)
-    A1, B1, C1, D1, E1, F1 = _quadric_parts(c1)
-
-    x2lo = -H if (x0 or x1) else 1
-    x2 = np.arange(x2lo, H + 1, dtype=dtype)
-    ones = np.ones_like(x2)
-
-    def lin(coeffs):
-        return coeffs[0] * x0 * ones + coeffs[1] * x1 * ones + coeffs[2] * x2
-
-    def quad(F):
-        base = (F[(0, 0)] * x0 * x0 + F[(0, 1)] * x0 * x1
-                + F[(1, 1)] * x1 * x1)
-        return (base * ones + (F[(0, 2)] * x0 + F[(1, 2)] * x1) * x2
-                + F[(2, 2)] * x2 * x2)
-
-    d0, e0, f0 = lin(D0), lin(E0), quad(F0)
-    d1, e1, f1 = lin(D1), lin(E1), quad(F1)
-
-    if C0 == 0 and C1 == 0:
-        # both conics linear in x4 already; use Q0 as the linear relation
-        alpha, beta = A0, B0
-        delta, eps, phi = d0, e0, f0
-        vA, vB, vC = A1, B1, C1
-        vd, ve, vf = d1, e1, f1
-    else:
-        # pencil member without x4^2: C1*Q0 - C0*Q1
-        alpha = C1 * A0 - C0 * A1
-        beta = C1 * B0 - C0 * B1
-        delta = C1 * d0 - C0 * d1
-        eps = C1 * e0 - C0 * e1
-        phi = C1 * f0 - C0 * f1
-        vA, vB, vC = A0, B0, C0
-        vd, ve, vf = d0, e0, f0
-
-    x3row = np.arange(-H, H + 1, dtype=dtype)[None, :]
-    x2col = np.arange(x2lo, H + 1, dtype=dtype)[:, None]
-
-    u = beta * x3row + eps[:, None]
-    v = -(alpha * x3row * x3row + delta[:, None] * x3row + phi[:, None])
-
-    safe_u = np.where(u == 0, 1, u)
-    divisible = (v % safe_u == 0) & (u != 0)
-    x4 = np.where(divisible, v // safe_u, H + 1)
-    in_range = divisible & (np.abs(x4) <= H)
-    x4 = np.where(in_range, x4, 0)  # keep the verification grid overflow-free
-
-    # exact vectorized residual of the verification quadric
-    q = (vA * x3row * x3row + vB * x3row * x4 + vC * x4 * x4
-         + vd[:, None] * x3row + ve[:, None] * x4 + vf[:, None])
-    hits = in_range & (q == 0)
-
-    for i2, i3 in zip(*np.nonzero(hits)):
-        x = (x0, x1, int(x2[i2]), int(x3row[0, i3]), int(x4[i2, i3]))
-        if _eval_int(c0, x) == 0 and _eval_int(c1, x) == 0:
-            found.add(ProjPoint(x))
-
-    # u = v = 0: the linear relation is void; solve the conic directly
-    void = (u == 0) & (v == 0)
-    for i2, i3 in zip(*np.nonzero(void)):
-        t2, t3 = int(x2[i2]), int(x3row[0, i3])
-        for x4v in _solve_conic_in_x4(vA, vB, vC, int(vd[i2]), int(ve[i2]),
-                                      int(vf[i2]), t3, H):
-            x = (x0, x1, t2, t3, x4v)
-            if any(x) and _eval_int(c0, x) == 0 and _eval_int(c1, x) == 0:
-                found.add(ProjPoint(x))
 
 
 def search_parallel(V: DP4Surface, H: int, workers: int = 1) -> SearchResult:

@@ -79,6 +79,13 @@ def test_cli_subprocess_pipeline_no_points():
     assert proc.returncode == 8
     err = json.loads(proc.stderr)
     assert err["error"] == "NoRationalPointError"
+    # the partial report of the finished stages still reaches stdout
+    report = json.loads(proc.stdout)
+    assert report["schema"] == "run-report@1"
+    assert set(report["timings"]) == {"descend_ms", "search_ms"}
+    assert report["search"]["count"] == 0
+    assert "dp4" in report and "radicands" in report
+    assert "chosen_point" not in report
 
 
 def test_cli_subprocess_non_squarefree_p():

@@ -1,11 +1,17 @@
 import random
+from itertools import product
+
+import numpy as np
+import pytest
 
 from cubicdescent.descent import DP4Surface
 from cubicdescent.forms import ProjPoint, QuadForm
-from cubicdescent.pointsearch import (brute_force_search,
+from cubicdescent.pointsearch import (RESIDUE_BOUND, SIEVE_PRIMES,
+                                      _eval_int, _int_quadrics,
+                                      _residue_table, brute_force_search,
                                       search, search_parallel, verify_point)
 
-from conftest import PAPER_POINT, random_quadform
+from conftest import PAPER_POINT, random_dp4_with_point, random_quadform
 
 
 def _random_surface(rng, bound=3):
@@ -100,3 +106,105 @@ def test_result_sorted_and_deduplicated():
     assert res.points == sorted(set(res.points))
     assert res.height_bound == 3
     assert res.elapsed_ms >= 0
+
+
+def test_residue_bound_fits_int16():
+    int16_max = np.iinfo(np.int16).max
+    assert RESIDUE_BOUND == 15 * (max(SIEVE_PRIMES) - 1) ** 3 <= int16_max
+    assert 15 * (17 - 1) ** 3 > int16_max      # the next prime would wrap
+    # the bound is reached when every coefficient and residue is ell - 1;
+    # there Q = -sum_{i<=j} a_i a_j = -((sum a)^2 + sum a^2) / 2 (mod ell)
+    ell = max(SIEVE_PRIMES)
+    worst = {(i, j): ell - 1 for i in range(5) for j in range(i, 5)}
+    table = _residue_table(worst, worst, ell)
+    for a in product(range(ell), repeat=4):
+        expect = any(((sum(a) + a4) ** 2 + sum(x * x for x in a) + a4 * a4)
+                     // 2 % ell == 0 for a4 in range(ell))
+        assert table[a] == expect, a
+
+
+def _dp4(c0, c1):
+    return DP4Surface(QuadForm.from_poly_coeffs(5, c0),
+                      QuadForm.from_poly_coeffs(5, c1))
+
+
+def _through(cs, point):
+    """Shift the x_k^2 coefficient, for the first k < 4 with x_k = +-1, so
+    that the form vanishes at point."""
+    k = next(k for k in range(4) if abs(point[k]) == 1)
+    cs = dict(cs)
+    cs[k, k] -= _eval_int(cs, point)
+    return cs
+
+
+def _random_coeffs(rng, bound, scale=lambda i, j: 1):
+    return {(i, j): rng.randint(-bound, bound) * scale(i, j)
+            for i in range(5) for j in range(i, 5)}
+
+
+def _random_point(rng):
+    x = [rng.randint(-3, 3) for _ in range(5)]
+    x[rng.randrange(4)] = rng.choice((1, -1))
+    return tuple(x)
+
+
+def _sieve_cases():
+    """Pairs through a planted point that the residue tables must not lose:
+    (planted point, c0, c1) with the case name as id."""
+    rng = random.Random(404)
+    cases = []
+    for ell in SIEVE_PRIMES:
+        # every x4 coefficient divisible by ell: both Gram matrices have a
+        # zero last row mod ell, so the pencil determinant vanishes mod ell
+        bad = lambda i, j, ell=ell: ell if j == 4 else 1
+        point = _random_point(rng)
+        cases.append(pytest.param(
+            point, _through(_random_coeffs(rng, 4, bad), point),
+            _through(_random_coeffs(rng, 4, bad), point),
+            id=f"bad-reduction-{ell}"))
+        point = _random_point(rng)
+        c0 = _through(_random_coeffs(rng, 4), point)
+        r = _through(_random_coeffs(rng, 4), point)
+        cases.append(pytest.param(
+            point, c0, {k: v + ell * r[k] for k, v in c0.items()},
+            id=f"equal-mod-{ell}"))
+    no_square = lambda i, j: 0 if (i, j) == (4, 4) else 1
+    point = _random_point(rng)
+    cases.append(pytest.param(
+        point, _through(_random_coeffs(rng, 4, no_square), point),
+        _through(_random_coeffs(rng, 4, no_square), point),
+        id="no-x4-square"))
+    point = _random_point(rng)
+    cases.append(pytest.param(
+        point, _through(_random_coeffs(rng, 10 ** 30), point),
+        _through(_random_coeffs(rng, 10 ** 30), point),
+        id="coefficients-1e30"))
+    point = (3, 0, -3, 1, 2)          # x0, x1, x2 all 0 mod 3
+    cases.append(pytest.param(
+        point, _through(_random_coeffs(rng, 4), point),
+        _through(_random_coeffs(rng, 4), point),
+        id="zero-triple-mod-3"))
+    return cases
+
+
+@pytest.mark.parametrize("point, c0, c1", _sieve_cases())
+def test_sieve_against_brute_force(point, c0, c1):
+    v = _dp4(c0, c1)
+    fast = search(v, 3)
+    assert ProjPoint(point) in set(fast.points)
+    assert fast.points == brute_force_search(v, 3).points
+
+
+def test_brute_force_points_pass_every_table():
+    rng = random.Random(31)
+    for _ in range(8):
+        v, _ = random_dp4_with_point(rng)
+        c0, c1 = _int_quadrics(v)
+        tables = {ell: _residue_table(c0, c1, ell) for ell in SIEVE_PRIMES}
+        points = brute_force_search(v, 3).points
+        assert points
+        for p in points:
+            for ell, table in tables.items():
+                assert table[tuple(x % ell for x in p.coords[:4])], (p, ell)
+        for table in tables.values():
+            assert table[0, 0, 0, 0]
