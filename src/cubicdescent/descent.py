@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (DegeneratePencilError, DependentFormsError,
                      NonGeneratorError, ZeroDivisorError)
@@ -22,7 +23,7 @@ from .etale import DEGREE, AlgElement, EtaleAlgebra
 from .forms import BinaryQuintic, QuadForm, p1_normalize
 from .intfactor import is_perfect_square, squarefree_class
 from .linalg import Matrix, det, rank, solve_linear
-from .polyfactor import rational_roots
+from .polyfactor import factor_unipoly, rational_roots
 from .unipoly import UniPoly
 
 
@@ -100,9 +101,15 @@ class RadicandReport:
     def norm_is_square(self) -> bool:
         return is_perfect_square(self.norm_rho)
 
-    @property
+    @cached_property
     def splitting_norm(self) -> Fraction:
         return self.splitting_element.norm()
+
+    @cached_property
+    def rational_factors(self) -> tuple:
+        """(factor, multiplicity) pairs of tritangent_poly over Q, in the
+        order of factor_unipoly."""
+        return tuple(factor_unipoly(self.tritangent_poly)[1])
 
 
 def trace_gram(weight: AlgElement, l) -> Matrix:

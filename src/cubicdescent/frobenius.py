@@ -2,8 +2,9 @@
 conjugacy-class sampling for descent-built surfaces.
 
 The class of Frobenius at a good odd prime q is read off the
-factorization of the quintic mod q (cycle type) plus Euler square tests
-of the splitting element in the residue fields (cycle signs).  The
+factorization mod q of each rational irreducible factor of the quintic
+(cycle type, per block of tritangent planes) plus Euler square tests of
+the splitting element in the residue fields (cycle signs).  The
 splitting element is the discriminant-adjusted radicand class from the
 descent report; its total sign is +1 at every good prime, matching the
 even-sign group that acts on the lines.
@@ -18,8 +19,10 @@ import numpy as np
 from .descent import RadicandReport
 from .errors import BadPrimeError, BudgetExceededError
 from .forms import CubicForm4, QuadForm
-from .gfpoly import ExtField, gp_factor_squarefree, gp_is_squarefree, gp_rem
-from .lines27 import (GroupElt, class_representative,
+from .gfpoly import (ExtField, gp_factor_squarefree, gp_is_squarefree,
+                     gp_pow_mod, gp_rem)
+from .intfactor import primes_up_to
+from .lines27 import (GroupElt, anchored_class_members, class_representative,
                       minimal_cover_subgroup, orbits, pic_trace_of_class)
 DEFAULT_BUDGET = 100_000_000
 
@@ -31,11 +34,13 @@ class FrobClass:
     parts: tuple
 
     def __post_init__(self):
-        total = 1
-        for _, s in self.parts:
-            total *= s
-        if total != 1:
+        if self.total_sign != 1:
             raise BadPrimeError("total sign of a sampled class must be +1")
+
+    @classmethod
+    def from_blocks(cls, blocks) -> "FrobClass":
+        """The plain class of per-block parts: their sorted union."""
+        return cls(tuple(sorted(part for block in blocks for part in block)))
 
     @property
     def total_sign(self) -> int:
@@ -311,24 +316,15 @@ def census_lines(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
 def good_prime(report: RadicandReport, q: int) -> bool:
     """Odd q not dividing disc(p), any relevant denominator, or the norm
     of the splitting element."""
-    if q == 2:
+    if q == 2 or _vanishes_mod(report.disc_tritangent, q):
         return False
-    p_poly = report.tritangent_poly
-    try:
-        disc = p_poly.discriminant()
-        if _vanishes_mod(disc, q):
+    for c in report.splitting_element.poly.coeffs:
+        if Fraction(c).denominator % q == 0:
             return False
-        for c in report.splitting_element.poly.coeffs:
-            if Fraction(c).denominator % q == 0:
-                return False
-        if _vanishes_mod(report.splitting_norm, q):
-            return False
-        for c in p_poly.coeffs:
-            if Fraction(c).denominator % q == 0:
-                return False
-    except ZeroDivisionError:
+    if _vanishes_mod(report.splitting_norm, q):
         return False
-    return True
+    return all(Fraction(c).denominator % q
+               for c in report.tritangent_poly.coeffs)
 
 
 def _vanishes_mod(c: Fraction, q: int) -> bool:
@@ -337,33 +333,13 @@ def _vanishes_mod(c: Fraction, q: int) -> bool:
 
 
 def frobenius_class(report: RadicandReport, q: int) -> FrobClass:
-    """Sample the class of Frobenius at q: factor the quintic mod q for
-    the cycle type; Euler-test the splitting element in each factor's
-    residue field for the cycle signs."""
-    if not good_prime(report, q):
-        raise BadPrimeError(f"{q} is not a good prime for this input")
-    p_poly = report.tritangent_poly
-    pq = [_reduce_fraction(c, q) for c in p_poly.coeffs]
-    if not gp_is_squarefree(pq, q):
-        raise BadPrimeError(f"quintic not squarefree mod {q}")
-    factors = gp_factor_squarefree(pq, q)
-    elt_poly = [_reduce_fraction(c, q) for c in report.splitting_element.poly.coeffs]
-    parts = []
-    for f in factors:
-        d = len(f) - 1
-        # image of the splitting element in the residue field F_q[T]/(f)
-        img = gp_rem(list(elt_poly), f, q)
-        if not img:
-            raise BadPrimeError(f"splitting element vanishes mod {q}")
-        sign = 1 if _euler_square(img, f, q) else -1
-        parts.append((d, sign))
-    return FrobClass(tuple(sorted(parts)))
+    """The class of Frobenius at q: the sorted union of the per-block
+    parts of frobenius_class_anchored."""
+    return FrobClass.from_blocks(frobenius_class_anchored(report, q)[1])
 
 
 def _euler_square(elt, modulus, q: int) -> bool:
     """Euler criterion in F_q[T]/(modulus) for irreducible modulus."""
-    from .gfpoly import gp_pow_mod
-
     d = len(modulus) - 1
     e = (q ** d - 1) // 2
     return gp_pow_mod(elt, e, modulus, q) == [1]
@@ -371,20 +347,19 @@ def _euler_square(elt, modulus, q: int) -> bool:
 
 def frobenius_class_anchored(report: RadicandReport, q: int):
     """Cycle/sign data anchored to the rational irreducible factors of
-    the quintic (each factor is a Galois orbit of tritangent planes).
+    the quintic (each factor is a Galois orbit of tritangent planes):
+    factor each one mod q for the cycle lengths, and Euler-test the
+    splitting element in each residue field for the cycle signs.
 
     Returns (block_sizes, per-block parts) in the canonical factor order
     of factor_unipoly."""
-    from .polyfactor import factor_unipoly
-
     if not good_prime(report, q):
         raise BadPrimeError(f"{q} is not a good prime for this input")
-    _, rational_factors = factor_unipoly(report.tritangent_poly)
     elt_poly = [_reduce_fraction(c, q)
                 for c in report.splitting_element.poly.coeffs]
     block_sizes = []
     blocks = []
-    for fk, mult in rational_factors:
+    for fk, mult in report.rational_factors:
         assert mult == 1
         block_sizes.append(fk.degree)
         fq = [_reduce_fraction(c, q) for c in fk.coeffs]
@@ -392,12 +367,11 @@ def frobenius_class_anchored(report: RadicandReport, q: int):
             raise BadPrimeError(f"factor not squarefree mod {q}")
         parts = []
         for f in gp_factor_squarefree(fq, q):
-            d = len(f) - 1
             img = gp_rem(list(elt_poly), f, q)
             if not img:
                 raise BadPrimeError(f"splitting element vanishes mod {q}")
             sign = 1 if _euler_square(img, f, q) else -1
-            parts.append((d, sign))
+            parts.append((len(f) - 1, sign))
         blocks.append(tuple(sorted(parts)))
     return tuple(block_sizes), tuple(blocks)
 
@@ -428,19 +402,14 @@ def sample_frobenius(report: RadicandReport, prime_count: int = 40,
                      prime_bound: int = 500) -> SamplingReport:
     """Classes at the first prime_count good primes below prime_bound,
     plus the minimal subgroup realizing every sampled anchored class."""
-    from .intfactor import primes_up_to
-    from .lines27 import anchored_class_members
-
     primes, classes, anchored = [], [], []
     block_sizes = None
     for q in primes_up_to(prime_bound):
         if len(primes) >= prime_count:
             break
-        if not good_prime(report, q):
-            continue
         try:
-            cls = frobenius_class(report, q)
             sizes, blocks = frobenius_class_anchored(report, q)
+            cls = FrobClass.from_blocks(blocks)
         except BadPrimeError:
             continue
         primes.append(q)
@@ -451,10 +420,9 @@ def sample_frobenius(report: RadicandReport, prime_count: int = 40,
     distinct_anchored = sorted(set(anchored))
     member_lists = [anchored_class_members(a, block_sizes)
                     for a in distinct_anchored]
-    if any(not m for m in member_lists):
-        return SamplingReport(primes, classes, distinct_plain,
-                              distinct_anchored, None, None)
-    elems, _ = minimal_cover_subgroup(member_lists)
+    elems = None
+    if all(member_lists):
+        elems, _ = minimal_cover_subgroup(member_lists)
     if elems is None:
         return SamplingReport(primes, classes, distinct_plain,
                               distinct_anchored, None, None)

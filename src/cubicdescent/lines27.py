@@ -17,6 +17,7 @@ class 3l - e1 - ... - e6.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 from .linalg import Matrix, inverse
@@ -152,22 +153,7 @@ class GroupElt:
     def frob_class(self) -> tuple:
         """Conjugacy invariant: sorted multiset of (cycle length, product
         of t over the cycle)."""
-        seen = [False] * 5
-        parts = []
-        for i in range(5):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.sigma[j]
-            sgn = 1
-            for j in cyc:
-                sgn *= self.t[j]
-            parts.append((len(cyc), sgn))
-        return tuple(sorted(parts))
+        return anchored_frob_data(self, (tuple(range(5)),))[0]
 
 
 def _inv_perm(sigma):
@@ -193,13 +179,11 @@ def act_on_27(g: GroupElt) -> tuple:
     return tuple(out)
 
 
-def full_group():
-    """All 1920 elements (even sign vectors times S5)."""
-    out = []
-    for sigma in permutations(range(5)):
-        for t in EVEN_VECTORS:
-            out.append(GroupElt(t, sigma))
-    return out
+@cache
+def full_group() -> tuple:
+    """All 1920 elements (even sign vectors times S5), built once."""
+    return tuple(GroupElt(t, sigma) for sigma in permutations(range(5))
+                 for t in EVEN_VECTORS)
 
 
 def orbits(generators) -> list:
@@ -228,30 +212,30 @@ def orbits(generators) -> list:
 
 
 def subgroup_closure(generators, cap: int | None = None) -> list | None:
-    """All elements generated; stops and returns None past cap."""
+    """All elements generated, by a breadth-first search from the identity
+    that multiplies each new element by the generators; None as soon as
+    the order exceeds cap."""
+    if cap is not None and cap < 1:
+        return None
     elems = {GroupElt.identity()}
-    frontier = list(generators)
-    for g in generators:
-        elems.add(g)
+    frontier = list(elems)
     while frontier:
         nxt = []
         for g in frontier:
-            for h in list(elems):
-                for prod_ in (g * h, h * g):
-                    if prod_ not in elems:
-                        elems.add(prod_)
-                        nxt.append(prod_)
-                        if cap is not None and len(elems) > cap:
-                            return None
+            for s in generators:
+                h = g * s
+                if h not in elems:
+                    elems.add(h)
+                    nxt.append(h)
+                    if cap is not None and len(elems) > cap:
+                        return None
         frontier = nxt
     return list(elems)
 
 
-def class_members(cls: tuple, group=None) -> list:
+def class_members(cls: tuple) -> list:
     """All elements of T x| S5 with the given (length, sign) multiset."""
-    if group is None:
-        group = full_group()
-    return [g for g in group if g.frob_class() == cls]
+    return [g for g in full_group() if g.frob_class() == cls]
 
 
 def _blocks_from_sizes(sizes) -> list:
@@ -267,40 +251,31 @@ def _blocks_from_sizes(sizes) -> list:
 def anchored_frob_data(g: GroupElt, blocks) -> tuple:
     """Per-block sorted (cycle length, sign product) multisets, or None
     when sigma does not preserve the blocks."""
-    for block in blocks:
-        bs = set(block)
-        if any(g.sigma[i] not in bs for i in block):
-            return None
     out = []
-    seen = [False] * 5
-    per_block = {id(b): [] for b in blocks}
-    lookup = {}
-    for b in blocks:
-        for i in b:
-            lookup[i] = id(b)
-    for i in range(5):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = g.sigma[j]
-        sgn = 1
-        for j in cyc:
-            sgn *= g.t[j]
-        per_block[lookup[i]].append((len(cyc), sgn))
-    return tuple(tuple(sorted(per_block[id(b)])) for b in blocks)
+    for block in blocks:
+        parts = []
+        seen = set()
+        for i in block:
+            length, sgn, j = 0, 1, i
+            while j not in seen:
+                if j not in block:
+                    return None
+                seen.add(j)
+                length += 1
+                sgn *= g.t[j]
+                j = g.sigma[j]
+            if length:
+                parts.append((length, sgn))
+        out.append(tuple(sorted(parts)))
+    return tuple(out)
 
 
-def anchored_class_members(anchored: tuple, block_sizes, group=None) -> list:
+def anchored_class_members(anchored: tuple, block_sizes) -> list:
     """Elements whose block-anchored cycle data matches `anchored`, the
     plane blocks being consecutive index ranges of the given sizes."""
-    if group is None:
-        group = full_group()
     blocks = _blocks_from_sizes(block_sizes)
-    return [g for g in group if anchored_frob_data(g, blocks) == anchored]
+    return [g for g in full_group()
+            if anchored_frob_data(g, blocks) == anchored]
 
 
 def class_representative(cls: tuple) -> GroupElt:
@@ -331,8 +306,7 @@ def minimal_cover_subgroup(classes, cap: int = 1920):
     `classes` may be plain (length, sign) multisets or prebuilt candidate
     element lists.
     """
-    group = full_group()
-    members = [c if isinstance(c, list) else class_members(c, group)
+    members = [c if isinstance(c, list) else class_members(c)
                for c in classes]
     members.sort(key=len)
     best_elems: set | None = None

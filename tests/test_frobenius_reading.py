@@ -1,0 +1,68 @@
+"""One reading per prime: the plain Frobenius class is the union of the
+block-anchored parts, and the per-report values are computed once."""
+
+import pytest
+
+from cubicdescent import descent
+from cubicdescent.descent import run_strategy
+from cubicdescent.frobenius import (_euler_square, _reduce_fraction,
+                                    frobenius_class, frobenius_class_anchored,
+                                    good_prime, sample_frobenius)
+from cubicdescent.gfpoly import gp_factor_squarefree, gp_rem
+from cubicdescent.intfactor import primes_up_to
+from cubicdescent.unipoly import UniPoly
+
+from conftest import PAPER_P
+
+# the worked quintic and two quintics of fitted order 32 and 96
+QUINTICS = [PAPER_P, UniPoly([36, 3, -3, -4, -3, 1]),
+            UniPoly([20, -5, -1, 20, 9, 1])]
+
+
+def whole_quintic_class(rep, q):
+    """Oracle: factor the whole quintic mod q and Euler-test the splitting
+    element in each residue field."""
+    pq = [_reduce_fraction(c, q) for c in rep.tritangent_poly.coeffs]
+    elt = [_reduce_fraction(c, q) for c in rep.splitting_element.poly.coeffs]
+    parts = []
+    for f in gp_factor_squarefree(pq, q):
+        sign = 1 if _euler_square(gp_rem(list(elt), f, q), f, q) else -1
+        parts.append((len(f) - 1, sign))
+    return tuple(sorted(parts))
+
+
+@pytest.mark.parametrize("quintic", QUINTICS,
+                         ids=["paper", "order32", "order96"])
+def test_plain_class_is_union_of_blocks(quintic):
+    _, rep = run_strategy(quintic)
+    degrees = tuple(f.degree for f, _ in rep.rational_factors)
+    good = [q for q in primes_up_to(200) if good_prime(rep, q)]
+    assert len(good) > 30
+    for q in good:
+        sizes, blocks = frobenius_class_anchored(rep, q)
+        assert sizes == degrees
+        assert all(sum(d for d, _ in b) == n for b, n in zip(blocks, sizes))
+        union = tuple(sorted(part for block in blocks for part in block))
+        assert frobenius_class(rep, q).parts == union
+        assert union == whole_quintic_class(rep, q)
+
+
+def test_report_values_computed_once(monkeypatch):
+    _, rep = run_strategy(QUINTICS[1])
+    calls = {"factor": 0, "disc": 0, "norm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(descent, "factor_unipoly",
+                        counted("factor", descent.factor_unipoly))
+    monkeypatch.setattr(UniPoly, "discriminant",
+                        counted("disc", UniPoly.discriminant))
+    monkeypatch.setattr(type(rep.splitting_element), "norm",
+                        counted("norm", type(rep.splitting_element).norm))
+    sr = sample_frobenius(rep, prime_count=20, prime_bound=200)
+    assert sr.sample_count == 20
+    assert calls == {"factor": 1, "disc": 0, "norm": 1}

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -6,11 +7,11 @@ from cubicdescent.descent import DP4Surface, run_strategy
 from cubicdescent.errors import (DegenerateSurfaceError, LineNotOnSurfaceError,
                                  PointNotOnSurfaceError)
 from cubicdescent.forms import (CubicForm4, LinForm, ProjPoint,
-                                QuadForm, contains_line, restrict_to_hyperplane,
-                                signature)
-from cubicdescent.geometry import (CubicSurface, cubic_to_dp4, dp4_to_cubic,
-                                   greedy_reduce, roundtrip_check,
-                                   tritangent_analysis,
+                                QuadForm, contains_line, monomials_deg3,
+                                restrict_to_hyperplane, signature)
+from cubicdescent.geometry import (CubicSurface, _objective, cubic_to_dp4,
+                                   dp4_to_cubic, greedy_reduce,
+                                   roundtrip_check, tritangent_analysis,
                                    tritangent_square_product)
 from cubicdescent.linalg import Matrix, inverse, rank
 
@@ -176,3 +177,17 @@ def test_greedy_reduce_paper_blowup(paper_dp4):
     assert reduced.F.max_abs_coeff() <= raw.F.max_abs_coeff()
     assert reduced.known_line is not None
     assert contains_line(reduced.F, reduced.known_line)
+
+
+def test_signed_permutations_keep_the_objective():
+    # why greedy_reduce has no permutation or sign-flip moves: they only
+    # permute the coefficients and flip their signs, so they can never
+    # strictly lower the objective
+    rng = random.Random(19)
+    moves = [Matrix.from_rows([[s[i] if perm[i] == j else 0 for j in range(4)]
+                               for i in range(4)])
+             for perm in permutations(range(4))
+             for s in product((1, -1), repeat=4)]
+    for _ in range(3):
+        F = CubicForm4({e: rng.randint(-30, 30) for e in monomials_deg3()})
+        assert all(_objective(F.substitute(g)) == _objective(F) for g in moves)

@@ -88,8 +88,9 @@ def test_verify_point_paper(paper_dp4):
     assert not verify_point(paper_dp4, ProjPoint([1, 0, 0, 0, 0]))
 
 
-def test_object_dtype_fallback():
-    # coefficients past the int64 audit threshold take the exact path
+def test_large_coefficient_pair():
+    # coefficients of 10^12: the sieve tables and the exact finish in
+    # Python integers agree with brute force
     big = 10 ** 12
     v = DP4Surface(QuadForm.from_poly_coeffs(
                        5, {(0, 0): big, (1, 1): -big, (2, 3): 1}),
