@@ -5,7 +5,8 @@ The public surface: exact linear algebra and polynomial arithmetic over Q
 (linalg, unipoly, polyfactor, intfactor), forms and projective objects
 (forms), the quintic algebra (etale), the descent construction (descent),
 blow-up/blow-down geometry (geometry), bounded-height point search
-(pointsearch), Groebner smoothness certificates (ideals), the 27-lines
+(pointsearch), exact smoothness (ideals: Groebner certificates for cubic
+surfaces, the pencil-determinant criterion for quadric pairs), the 27-lines
 model and Frobenius sampling (lines27, frobenius), JSON artifacts
 (serialize) and the CLI (cli).
 """

@@ -230,7 +230,3 @@ class AlgElement:
 
     def __repr__(self):
         return f"AlgElement({self.poly})"
-
-
-def is_generator(x: AlgElement) -> bool:
-    return x.is_generator()

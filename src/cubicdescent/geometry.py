@@ -86,14 +86,6 @@ class TritangentEntry:
     norm_class: int | None = None
 
 
-def _quad_poly_coeffs(q: QuadForm) -> dict:
-    out = {}
-    for (i, j) in QUAD_INDEX:
-        c = q.gram[i, j] if i == j else 2 * q.gram[i, j]
-        out[(i, j)] = c
-    return out
-
-
 def _decompose(F: CubicForm4, l0: LinForm, l1: LinForm):
     """Canonical (A, B) with F = l0*A + l1*B, free variables zero.
 
@@ -240,8 +232,7 @@ def dp4_to_cubic(V: DP4Surface, P: ProjPoint) -> CubicSurface:
 
     f_terms: dict = {}
     for (qq, ll, sign) in ((q0, l1, +1), (q1, l0, -1)):
-        pc = _quad_poly_coeffs(qq)
-        for (i, j), cc in pc.items():
+        for (i, j), cc in zip(QUAD_INDEX, qq.upper_coeffs()):
             if cc == 0:
                 continue
             for k in range(4):

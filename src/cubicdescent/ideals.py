@@ -1,9 +1,12 @@
-"""Small Buchberger engine over Q for exact smoothness certificates.
+"""Exact smoothness: a small Buchberger engine over Q for cubic surfaces,
+and the pencil-determinant criterion for quadric pairs in P^4.
 
 Sparse multivariate polynomials in up to 5 variables, grevlex order with
 x0 < x1 < ... Content is stripped to primitive integer form after every
 reduction to keep coefficients small.  Pair selection is by (lcm degree,
 lcm, indices), with the coprime-leading-term and chain criteria.
+`smooth_cubic` certifies a cubic surface chart by chart with it;
+`smooth_dp4` needs no Groebner basis.
 """
 
 from __future__ import annotations
@@ -325,51 +328,12 @@ def smooth_cubic(S) -> bool:
     return True
 
 
-def _quad_mpoly(q, chart: int) -> MPoly:
-    """5-variable quadric dehomogenized at x_chart = 1 (4 variables)."""
-    terms = {}
-    n = q.n
-    for i in range(n):
-        for j in range(i, n):
-            c = q.gram[i, j] if i == j else 2 * q.gram[i, j]
-            if not c:
-                continue
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            key = tuple(v for k, v in enumerate(e) if k != chart)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return MPoly(n - 1, terms)
-
-
 def smooth_dp4(V) -> bool:
-    """Exact smoothness of an intersection of two quadrics in P^4:
-    chart-wise unit-ideal test on (Q0, Q1, 2x2 Jacobian minors)."""
-    q0, q1 = V.Q0, V.Q1
-    grad0 = [[2 * q0.gram[i, j] for j in range(5)] for i in range(5)]
-    grad1 = [[2 * q1.gram[i, j] for j in range(5)] for i in range(5)]
-    for chart in range(5):
-        gens = [_quad_mpoly(q0, chart), _quad_mpoly(q1, chart)]
-        for i in range(5):
-            for j in range(i + 1, 5):
-                # minor: d0/dxi * d1/dxj - d0/dxj * d1/dxi (linear * linear)
-                terms = {}
-                for a in range(5):
-                    for b in range(5):
-                        c = grad0[i][a] * grad1[j][b] - grad0[j][a] * grad1[i][b]
-                        if not c:
-                            continue
-                        e = [0] * 5
-                        e[a] += 1
-                        e[b] += 1
-                        key = tuple(v for k, v in enumerate(e) if k != chart)
-                        terms[key] = terms.get(key, Fraction(0)) + c
-                m = MPoly(4, terms)
-                if m:
-                    gens.append(m)
-        gens = [g for g in gens if g]
-        if not gens:
-            return False
-        if not is_unit_ideal(gens):
-            return False
-    return True
+    """Exact smoothness of an intersection of two quadrics in P^4: the
+    pencil determinant det(lambda*Q0 + mu*Q1) is a nonzero binary quintic
+    with five distinct roots in P^1 (Reid 1972), that is, at most a simple
+    root at infinity and a squarefree dehomogenization."""
+    quintic = V.pencil_quintic()
+    if quintic.is_zero() or quintic.infinity_multiplicity() > 1:
+        return False
+    return quintic.dehomogenized().is_squarefree()

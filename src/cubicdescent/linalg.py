@@ -10,7 +10,7 @@ scan order, which makes all derived canonical choices reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NonSquareMatrixError, SingularMatrixError
 
@@ -285,7 +285,7 @@ def nullspace(m: Matrix) -> list:
         w = [int(x * d) for x in v]
         g = 0
         for x in w:
-            g = gcd_int(g, x)
+            g = gcd(g, x)
         if g:
             w = [x // g for x in w]
         for x in w:
@@ -295,11 +295,6 @@ def nullspace(m: Matrix) -> list:
                 break
         basis.append(tuple(w))
     return basis
-
-
-def gcd_int(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
 
 
 def inverse(m: Matrix) -> Matrix:

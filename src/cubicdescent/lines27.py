@@ -125,20 +125,31 @@ class GroupElt:
         self.sigma = sigma
 
     @classmethod
+    def _unchecked(cls, t: tuple, sigma: tuple) -> "GroupElt":
+        """An element from tuples already known to be valid (products and
+        inverses of valid elements), without the checks of __init__."""
+        g = object.__new__(cls)
+        g.t = t
+        g.sigma = sigma
+        return g
+
+    @classmethod
     def identity(cls):
         return cls((1, 1, 1, 1, 1), (0, 1, 2, 3, 4))
 
     def __mul__(self, other: "GroupElt") -> "GroupElt":
-        # (t, s) * (t', s'): apply other first, then self
-        sigma = tuple(self.sigma[other.sigma[i]] for i in range(5))
-        inv_self = _inv_perm(self.sigma)
-        t = tuple(self.t[j] * other.t[inv_self[j]] for j in range(5))
-        return GroupElt(t, sigma)
+        # (t, s) * (t', s'): apply other first, then self; the sign at
+        # s(k) is t[s(k)] * t'[k]
+        s, t = self.sigma, self.t
+        prod = [0] * 5
+        for k, x in enumerate(other.t):
+            prod[s[k]] = t[s[k]] * x
+        return GroupElt._unchecked(tuple(prod),
+                                   tuple(s[i] for i in other.sigma))
 
     def inv(self) -> "GroupElt":
-        inv_sigma = _inv_perm(self.sigma)
         t = tuple(self.t[self.sigma[j]] for j in range(5))
-        return GroupElt(t, inv_sigma)
+        return GroupElt._unchecked(t, _inv_perm(self.sigma))
 
     def __eq__(self, other):
         return isinstance(other, GroupElt) and self.t == other.t \

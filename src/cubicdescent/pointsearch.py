@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -53,24 +52,16 @@ def verify_point(V: DP4Surface, P) -> bool:
 def _int_quadrics(V: DP4Surface):
     """Integer polynomial coefficient dicts {(i,j): int} of both quadrics,
     scaled independently."""
+    index = [(i, j) for i in range(5) for j in range(i, 5)]
     out = []
     for q in (V.Q0, V.Q1):
-        cs = {}
-        den = 1
-        for i in range(5):
-            for j in range(i, 5):
-                c = q.gram[i, j] if i == j else 2 * q.gram[i, j]
-                den = lcm(den, Fraction(c).denominator)
-        g = 0
-        for i in range(5):
-            for j in range(i, 5):
-                c = q.gram[i, j] if i == j else 2 * q.gram[i, j]
-                v = int(Fraction(c) * den)
-                cs[(i, j)] = v
-                g = gcd(g, v)
+        upper = q.upper_coeffs()
+        den = lcm(*(c.denominator for c in upper))
+        ints = [int(c * den) for c in upper]
+        g = gcd(*ints)
         if g:
-            cs = {k: v // g for k, v in cs.items()}
-        out.append(cs)
+            ints = [v // g for v in ints]
+        out.append(dict(zip(index, ints)))
     return out
 
 

@@ -1,20 +1,21 @@
 """Factorization of univariate polynomials over Q, up to degree 8.
 
-Pipeline: rational-root stripping, Yun squarefree decomposition, then per
-squarefree part a Zassenhaus round: factor mod a good odd prime, Hensel
-lift past the Mignotte bound, and recombine factors by subset search.
-Degrees are capped at 8, so subset recombination never exceeds 2^8 trials.
+Pipeline: Yun squarefree decomposition, then per squarefree part a
+Zassenhaus round: factor mod a good odd prime, Hensel lift past the
+Mignotte bound, and recombine factors by subset search.  Every factor,
+linear ones included, comes out of that one path; rational roots are read
+off the linear factors.  Degrees are capped at 8, so subset recombination
+never exceeds 2^8 trials.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
 from .errors import PreconditionError, ZeroPolynomialError
 from .gfpoly import gp_factor_squarefree, gp_from_int_poly, gp_is_squarefree
-from .intfactor import factorize, iter_primes
+from .intfactor import iter_primes
 from .unipoly import UniPoly
 
 MAX_DEGREE = 8
@@ -38,37 +39,17 @@ def factor_unipoly(f: UniPoly):
     constant = f.lc()
     work = f.monic()
 
-    factors: list[tuple[UniPoly, int]] = []
-
-    # Rational roots first: strip linear factors with multiplicity.
-    for root in _rational_roots(work):
-        lin = UniPoly([-root, 1])
-        mult = 0
-        while True:
-            q, r = divmod(work, lin)
-            if not r.is_zero():
-                break
-            work = q
-            mult += 1
-        if mult:
-            factors.append((lin, mult))
-
-    if work.degree >= 1:
-        for sqf, mult in _yun_squarefree(work):
-            for irr in _factor_squarefree(sqf):
-                factors.append((irr, mult))
-
+    factors = [(irr, mult) for sqf, mult in _yun_squarefree(work)
+               for irr in _factor_squarefree(sqf)]
     factors.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return constant, factors
 
 
 def rational_roots(f: UniPoly) -> list:
-    """All rational roots of f (without multiplicity), sorted."""
-    if f.is_zero():
-        raise ZeroPolynomialError("roots of the zero polynomial")
-    if f.degree == 0:
-        return []
-    return _rational_roots(f.monic())
+    """All rational roots of f (without multiplicity), sorted: the roots
+    of the linear factors of factor_unipoly(f)."""
+    _, factors = factor_unipoly(f)
+    return sorted(-g[0] for g, _ in factors if g.degree == 1)
 
 
 def is_irreducible(f: UniPoly) -> bool:
@@ -76,42 +57,6 @@ def is_irreducible(f: UniPoly) -> bool:
         return False
     _, factors = factor_unipoly(f)
     return len(factors) == 1 and factors[0][1] == 1
-
-
-def _rational_roots(f: UniPoly) -> list:
-    """Rational roots of monic f by the rational root theorem.
-
-    May miss roots only when both endpoint coefficients resist factoring,
-    in which case the Zassenhaus stage still finds the linear factors.
-    """
-    if f.degree < 1:
-        return []
-    _, prim = f.primitive()
-    c = prim.int_coeffs()
-    k = 0
-    while c[k] == 0:
-        k += 1
-    roots = [Fraction(0)] if k else []
-    a0, an = abs(c[k]), abs(c[-1])
-    nf, nco = factorize(a0)
-    df, dco = factorize(an)
-    if nco != 1 or dco != 1:
-        return sorted(set(roots))
-    for num in _divisors(nf):
-        for den in _divisors(df):
-            if gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if f.evaluate(cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
-
-
-def _divisors(factored: dict) -> list:
-    divs = [1]
-    for p, e in factored.items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(divs)
 
 
 def _yun_squarefree(f: UniPoly) -> list:
@@ -266,7 +211,8 @@ def _hensel_step(m, f, g, h, s, t):
 
 
 def _hensel_lift_sub(p, f, fk, m):
-    """Recurse with an explicit modulus m = p^L already reached."""
+    """Lift the monic factorisation f = lc(f) * prod(fk) mod p to one mod
+    m = p^L: split fk in halves, lift the two products, recurse."""
     r = len(fk)
     if r == 1:
         inv = pow(f[-1] % m, -1, m)
@@ -326,7 +272,7 @@ def _zassenhaus(c: list) -> list:
     while p ** l < 2 * bound + 1:
         l += 1
     m = p ** l
-    lifted = _hensel_lift_entry(p, c, [list(q) for q in modular], l)
+    lifted = _hensel_lift_sub(p, c, [list(q) for q in modular], m)
 
     # Subset recombination (Zassenhaus).
     result = []
@@ -354,11 +300,6 @@ def _zassenhaus(c: list) -> list:
         result.append(current)
     result.sort(key=lambda f: (len(f), tuple(f)))
     return result
-
-
-def _hensel_lift_entry(p, f, fk, l):
-    m = p ** l
-    return _hensel_lift_sub(p, f, fk, m)
 
 
 def _primitive_int(c: list) -> list:

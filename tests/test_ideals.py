@@ -99,25 +99,54 @@ def test_smooth_dp4_examples(paper_dp4):
     assert smooth_dp4(paper_dp4)
 
 
-def test_smooth_dp4_matches_quintic_criterion():
-    # a smooth quadric intersection has squarefree pencil determinant of
-    # full projective degree; check agreement on random small pencils
-    import random as _r
+def _jacobian_smooth_dp4(v) -> bool:
+    """Oracle: on each chart x_c = 1 of P^4, the ideal of Q0, Q1 and the
+    2x2 minors of their gradients is the unit ideal."""
+    for chart in range(5):
+        xs = [MPoly.constant(4, 1) if k == chart
+              else MPoly.variable(4, k - (k > chart)) for k in range(5)]
+        grads = []
+        for q in (v.Q0, v.Q1):
+            grads.append([sum((x * (2 * q.gram[a, b]) for b, x in enumerate(xs)),
+                              MPoly.constant(4, 0)) for a in range(5)])
+        # Euler: Q = (1/2) * sum_a x_a * dQ/dx_a
+        gens = [sum((x * g for x, g in zip(xs, grad)), MPoly.constant(4, 0))
+                for grad in grads]
+        g0, g1 = grads
+        gens += [g0[i] * g1[j] - g0[j] * g1[i]
+                 for i in range(5) for j in range(i + 1, 5)]
+        gens = [g for g in gens if g]
+        if not gens or not is_unit_ideal(gens):
+            return False
+    return True
 
-    from cubicdescent.forms import pencil_determinant
+
+def test_smooth_dp4_matches_quintic_criterion():
+    # the pencil-determinant criterion against the Jacobian oracle on
+    # random small pencils
     from conftest import random_quadform
 
-    rng = _r.Random(29)
+    rng = random.Random(29)
     checked = 0
     while checked < 6:
         try:
             v = DP4Surface(random_quadform(rng, 5, 2), random_quadform(rng, 5, 2))
         except Exception:
             continue
-        bq = pencil_determinant(v.Q0, v.Q1)
-        if bq.is_zero():
-            continue
-        dehom = bq.dehomogenized()
-        crit = dehom.degree == 5 and dehom.is_squarefree()
-        assert smooth_dp4(v) == crit
+        assert smooth_dp4(v) == _jacobian_smooth_dp4(v)
         checked += 1
+
+
+@pytest.mark.parametrize("a, b, smooth", [
+    # a simple root at infinity (det Q0 = 0): five distinct ratios
+    ([0, 1, 1, 1, 1], [1, 1, 2, 3, 4], True),
+    # a double finite root: the ratio 1 : 0 twice
+    ([1, 1, 1, 1, 1], [0, 0, 2, 3, 4], False),
+    # a double root at infinity: the ratio 0 : 1 twice
+    ([0, 0, 1, 1, 1], [1, 1, 2, 3, 4], False),
+    # a shared kernel: the pencil determinant is identically zero
+    ([1, 2, 3, 0, 0], [1, 1, 1, 0, 0], False),
+])
+def test_smooth_dp4_degenerate_pencils(a, b, smooth):
+    v = DP4Surface(QuadForm.diagonal(a), QuadForm.diagonal(b))
+    assert smooth_dp4(v) == _jacobian_smooth_dp4(v) == smooth

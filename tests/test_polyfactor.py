@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,3 +98,19 @@ def test_non_monic_constant():
     c, fs = factor_unipoly(f)
     assert c == -2
     assert fs == [(UniPoly([-1, 1]), 1), (UniPoly([1, 1]), 1)]
+
+
+def test_constant_term_with_two_large_primes():
+    # the constant term is -N with N the product of two primes near 1e17
+    # and 3e17; finding the root 1 must not depend on factoring N
+    n = 100000000000000003 * 300000000000000011
+    quartic = UniPoly([n, 1, 0, 0, 1])
+    f = UniPoly([-1, 1]) * quartic
+    t0 = time.perf_counter()
+    c, fs = factor_unipoly(f)
+    roots = rational_roots(f)
+    elapsed = time.perf_counter() - t0
+    assert c == 1
+    assert fs == [(UniPoly([-1, 1]), 1), (quartic, 1)]
+    assert roots == [1]
+    assert elapsed < 1.0
