@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exact smoothness certificates")
     common(p)
-    p.add_argument("--smooth", action="store_true", default=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("frobenius", help="sample Frobenius classes")

@@ -23,7 +23,7 @@ from .etale import DEGREE, AlgElement, EtaleAlgebra
 from .forms import BinaryQuintic, QuadForm, p1_normalize
 from .intfactor import is_perfect_square, squarefree_class
 from .linalg import Matrix, det, rank, solve_linear
-from .polyfactor import factor_unipoly, rational_roots
+from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
 
@@ -177,24 +177,24 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
     assert psi_coeffs is not None, "m generates, so the power matrix is invertible"
     psi = UniPoly(psi_coeffs)
 
-    entries = []
-    for t in rational_roots(chi_m):
-        rad = psi.evaluate(t)
-        entries.append(RadicandEntry(
-            point=p1_normalize(t, 1),
-            radicand=rad,
-            sq_class=squarefree_class(rad)))
-
     disc_m = chi_m.discriminant()
-    return RadicandReport(
+    report = RadicandReport(
         rho=rho,
         conj_poly=conj_poly,
         tritangent_poly=chi_m,
-        entries=entries,
+        entries=[],
         norm_rho=rho.norm(),
         disc_tritangent=disc_m,
         splitting_element=rho * disc_m,
     )
+    roots = sorted(-g[0] for g, _ in report.rational_factors if g.degree == 1)
+    for t in roots:
+        rad = psi.evaluate(t)
+        report.entries.append(RadicandEntry(
+            point=p1_normalize(t, 1),
+            radicand=rad,
+            sq_class=squarefree_class(rad)))
+    return report
 
 
 def run_strategy(p: UniPoly, x=None, l=None):

@@ -8,6 +8,12 @@ the splitting element in the residue fields (cycle signs).  The
 splitting element is the discriminant-adjusted radicand class from the
 descent report; its total sign is +1 at every good prime, matching the
 even-sign group that acts on the lines.
+
+Point counts, singular points and the line census share one kernel: the
+residue coefficient maps of the forms are evaluated on int64 arrays over
+the affine charts of P^(n-1)(F_p), and a point is counted when every map
+vanishes there.  The census tests each line at four of its points, so it
+needs odd p.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ import numpy as np
 
 from .descent import RadicandReport
 from .errors import BadPrimeError, BudgetExceededError
-from .forms import CubicForm4, QuadForm
-from .gfpoly import (ExtField, gp_factor_squarefree, gp_is_squarefree,
-                     gp_pow_mod, gp_rem)
+from .forms import CubicForm4
+from .gfpoly import gp_factor_squarefree, gp_is_squarefree, gp_pow_mod, gp_rem
 from .intfactor import primes_up_to
 from .lines27 import (GroupElt, anchored_class_members, class_representative,
                       minimal_cover_subgroup, orbits, pic_trace_of_class)
@@ -66,44 +71,80 @@ def _reduce_fraction(c: Fraction, p: int) -> int:
     return c.numerator * pow(c.denominator, p - 2, p) % p
 
 
-def reduce_cubic_mod_p(F: CubicForm4, p: int) -> dict:
-    """Coefficient map of F mod p; flags p as bad when a denominator
-    vanishes or the whole form does."""
+def _reduce_map(coeffs: dict, p: int, what: str) -> dict:
+    """The nonzero residues {exponent: c mod p} of a coefficient map; flags
+    p as bad when a denominator or the whole form vanishes."""
     out = {}
-    for e, c in F.coeffs.items():
+    for e, c in coeffs.items():
         v = _reduce_fraction(c, p)
         if v:
             out[e] = v
     if not out:
-        raise BadPrimeError(f"cubic form vanishes mod {p}")
+        raise BadPrimeError(f"{what} vanishes mod {p}")
     return out
 
 
-def reduce_quadric_mod_p(q: QuadForm, p: int) -> list:
-    """Gram matrix of q mod p (list of lists)."""
-    if p == 2:
-        raise BadPrimeError("Gram matrices need odd characteristic")
-    g = [[_reduce_fraction(q.gram[i, j], p) for j in range(q.n)]
-         for i in range(q.n)]
-    if all(all(x == 0 for x in row) for row in g):
-        raise BadPrimeError(f"quadric vanishes mod {p}")
-    return g
+def reduce_cubic_mod_p(F: CubicForm4, p: int) -> dict:
+    """Coefficient map of F mod p; flags p as bad when a denominator
+    vanishes or the whole form does."""
+    return _reduce_map(F.coeffs, p, "cubic form")
 
 
 def reduce_dp4_mod_p(V, p: int):
-    """Both Gram matrices mod p; bad when the reduced pencil degenerates."""
-    g0 = reduce_quadric_mod_p(V.Q0, p)
-    g1 = reduce_quadric_mod_p(V.Q1, p)
-    flat0 = [x for row in g0 for x in row]
-    flat1 = [x for row in g1 for x in row]
-    # proportionality test over F_p
-    for i, x in enumerate(flat0):
-        if x:
-            c = flat1[i] * pow(x, p - 2, p) % p
-            if all((c * a - b) % p == 0 for a, b in zip(flat0, flat1)):
-                raise BadPrimeError(f"pencil degenerates mod {p}")
-            break
-    return g0, g1
+    """Both quadrics as coefficient maps mod p (odd p); bad when a
+    denominator or a quadric vanishes, or the reduced pencil degenerates."""
+    if p == 2:
+        raise BadPrimeError("Gram matrices need odd characteristic")
+    n = V.Q0.n
+    exps = [tuple((k == i) + (k == j) for k in range(n))
+            for i in range(n) for j in range(i, n)]
+    c0, c1 = (_reduce_map(dict(zip(exps, q.upper_coeffs())), p, "quadric")
+              for q in (V.Q0, V.Q1))
+    e, a = next(iter(c0.items()))
+    ratio = c1.get(e, 0) * pow(a, p - 2, p) % p
+    if all((ratio * c0.get(k, 0) - c1.get(k, 0)) % p == 0 for k in c0 | c1):
+        raise BadPrimeError(f"pencil degenerates mod {p}")
+    return c0, c1
+
+
+def _eval_mod_p(coeffs: dict, x, p: int):
+    """Values mod p of the residue map {exponent: c} at the int64
+    coordinate arrays x (broadcast together, entries in (-p, 2p)).  Every
+    product is reduced mod p and the sum of the reduced terms once, so
+    p < 2 * 10^9 keeps int64 exact."""
+    acc = 0
+    for e, c in coeffs.items():
+        term = c
+        for xi, k in zip(x, e):
+            for _ in range(k):
+                term = term * xi
+                term %= p
+        acc = acc + term
+    return acc % p
+
+
+def _charts(n: int, p: int):
+    """The chart representatives of P^(n-1)(F_p): for each lead index,
+    zeros before it, 1 at it and every residue after it.  Yields
+    (lead, coordinate arrays); the free coordinates are views of one
+    np.indices grid."""
+    for lead in range(n - 1, -1, -1):
+        nfree = n - 1 - lead
+        size = p ** nfree
+        grid = np.indices([p] * nfree, dtype=np.int64).reshape(nfree, size)
+        yield lead, ([np.zeros(size, dtype=np.int64)] * lead
+                     + [np.ones(size, dtype=np.int64)] + list(grid))
+
+
+def _count_zeros(forms, n: int, p: int) -> int:
+    """#points of P^(n-1)(F_p) where every residue map in forms vanishes."""
+    count = 0
+    for _, x in _charts(n, p):
+        zero = np.ones(x[0].shape, dtype=bool)
+        for f in forms:
+            zero &= _eval_mod_p(f, x, p) == 0
+        count += int(np.count_nonzero(zero))
+    return count
 
 
 def count_points_cubic(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -111,28 +152,7 @@ def count_points_cubic(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> i
     total_pts = p ** 3 + p ** 2 + p + 1
     if total_pts * 20 > budget:
         raise BudgetExceededError(f"P^3(F_{p}) enumeration exceeds budget")
-    coeffs = reduce_cubic_mod_p(F, p)
-    exps = list(coeffs)
-    # vectorized over the affine chart grids
-    count = 0
-    for lead in range(3, -1, -1):
-        nfree = 3 - lead
-        if nfree == 0:
-            x = [np.array([0])] * lead + [np.array([1])]
-        else:
-            grid = np.indices([p] * nfree, dtype=np.int64).reshape(nfree, -1)
-            x = ([np.zeros(grid.shape[1], dtype=np.int64)] * lead
-                 + [np.ones(grid.shape[1], dtype=np.int64)]
-                 + [grid[i] for i in range(nfree)])
-        acc = np.zeros(x[0].shape, dtype=np.int64)
-        for e in exps:
-            term = np.full(x[0].shape, coeffs[e], dtype=np.int64)
-            for i in range(4):
-                for _ in range(e[i]):
-                    term = term * x[i] % p
-            acc = (acc + term) % p
-        count += int(np.count_nonzero(acc == 0))
-    return count
+    return _count_zeros([reduce_cubic_mod_p(F, p)], 4, p)
 
 
 def count_points_dp4(V, p: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -140,176 +160,52 @@ def count_points_dp4(V, p: int, budget: int = DEFAULT_BUDGET) -> int:
     total_pts = p ** 4 + p ** 3 + p ** 2 + p + 1
     if total_pts * 30 > budget:
         raise BudgetExceededError(f"P^4(F_{p}) enumeration exceeds budget")
-    g0, g1 = reduce_dp4_mod_p(V, p)
-
-    def upper(g):
-        out = {}
-        for i in range(5):
-            for j in range(i, 5):
-                c = g[i][j] if i == j else 2 * g[i][j] % p
-                if c % p:
-                    out[(i, j)] = c % p
-        return out
-
-    c0, c1 = upper(g0), upper(g1)
-    count = 0
-    for lead in range(4, -1, -1):
-        nfree = 4 - lead
-        if nfree == 0:
-            x = [np.array([0])] * lead + [np.array([1])]
-        else:
-            grid = np.indices([p] * nfree, dtype=np.int64).reshape(nfree, -1)
-            x = ([np.zeros(grid.shape[1], dtype=np.int64)] * lead
-                 + [np.ones(grid.shape[1], dtype=np.int64)]
-                 + [grid[i] for i in range(nfree)])
-        ok = None
-        for cs in (c0, c1):
-            acc = np.zeros(x[0].shape, dtype=np.int64)
-            for (i, j), c in cs.items():
-                acc = (acc + c * x[i] % p * x[j]) % p
-            good = acc == 0
-            ok = good if ok is None else (ok & good)
-        count += int(np.count_nonzero(ok))
-    return count
+    return _count_zeros(reduce_dp4_mod_p(V, p), 5, p)
 
 
-def count_points_cubic_ext(F: CubicForm4, field: ExtField,
-                           budget: int = DEFAULT_BUDGET) -> int:
-    """#S(F_q) over an extension field, plain enumeration."""
-    q = field.q
-    total_pts = q ** 3 + q ** 2 + q + 1
-    if total_pts * 40 > budget:
-        raise BudgetExceededError("extension enumeration exceeds budget")
-    coeffs = {e: field.element([_reduce_fraction(c, field.p)])
-              for e, c in F.coeffs.items()}
-    elements = [field.element(t) for t in field.elements()]
-    zero = field.zero()
-    one = field.one()
-    count = 0
-    for lead in range(3, -1, -1):
-        nfree = 3 - lead
-
-        def rec(point):
-            nonlocal count
-            if len(point) == nfree:
-                x = (zero,) * lead + (one,) + tuple(point)
-                acc = zero
-                for e, c in coeffs.items():
-                    term = c
-                    for i in range(4):
-                        for _ in range(e[i]):
-                            term = field.mul(term, x[i])
-                    acc = field.add(acc, term)
-                if acc == zero:
-                    count += 1
-                return
-            for v in elements:
-                rec(point + (v,))
-
-        rec(())
-    return count
-
-
-def singular_points_mod_p(F: CubicForm4, field: ExtField) -> int:
-    """Number of points of P^3(F_q) where all four partials and F vanish."""
-    coeffs = reduce_cubic_mod_p(F, field.p)
+def singular_points_mod_p(F: CubicForm4, p: int) -> int:
+    """Number of points of P^3(F_p) where F and its four partials vanish
+    (a partial that vanishes mod p is the zero form)."""
+    coeffs = reduce_cubic_mod_p(F, p)
     partials = []
     for i in range(4):
         terms = {}
         for e, c in coeffs.items():
             if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                key = tuple(e2)
-                terms[key] = (terms.get(key, 0) + c * e[i]) % field.p
-        partials.append({k: v for k, v in terms.items() if v})
-    elements = [field.element(t) for t in field.elements()]
-    zero = field.zero()
-    one = field.one()
-
-    def value(terms, x):
-        acc = zero
-        for e, c in terms.items():
-            term = field.element([c])
-            for i in range(4):
-                for _ in range(e[i]):
-                    term = field.mul(term, x[i])
-            acc = field.add(acc, term)
-        return acc
-
-    hits = 0
-    for lead in range(3, -1, -1):
-        nfree = 3 - lead
-
-        def rec(point):
-            nonlocal hits
-            if len(point) == nfree:
-                x = (zero,) * lead + (one,) + tuple(point)
-                if value(coeffs, x) != zero:
-                    return
-                if all(value(t, x) == zero for t in partials):
-                    hits += 1
-                return
-            for v in elements:
-                rec(point + (v,))
-
-        rec(())
-    return hits
+                key = e[:i] + (e[i] - 1,) + e[i + 1:]
+                terms[key] = (terms.get(key, 0) + c * e[i]) % p
+        partials.append(terms)
+    return _count_zeros([coeffs] + partials, 4, p)
 
 
 def census_lines(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of F_p-rational lines on the cubic surface.
+    """Number of F_p-rational lines on the cubic surface (odd p).
 
-    Scans all (p^2+1)(p^2+p+1) lines of P^3(F_p) via row-echelon
-    parametrization of 2-dimensional subspaces.
+    Scans all (p^2+1)(p^2+p+1) lines of P^3(F_p) in reduced echelon form:
+    u from the chart with lead j, v (zero at j) from a chart of lead
+    i < j.  The line lies on S exactly when S vanishes at u, v, u + v and
+    u - v, four distinct points of the line when p is odd, since a nonzero
+    binary cubic has at most 3 roots in P^1.
     """
     n_lines = (p * p + 1) * (p * p + p + 1)
     if n_lines * 30 > budget:
         raise BudgetExceededError(f"line census at p={p} exceeds budget")
+    if p == 2:
+        raise BadPrimeError("the line census needs odd characteristic")
     coeffs = reduce_cubic_mod_p(F, p)
-
-    def binary_cubic_zero(u, v) -> bool:
-        # coefficients of S(s*u + t*v) as a cubic in (s, t), mod p
-        acc = [0, 0, 0, 0]
-        for e, c in coeffs.items():
-            local = [c, 0, 0, 0]
-            deg = 0
-            for i in range(4):
-                for _ in range(e[i]):
-                    nxt = [0, 0, 0, 0]
-                    for k in range(deg + 1):
-                        if local[k]:
-                            nxt[k + 1] = (nxt[k + 1] + local[k] * u[i]) % p
-                            nxt[k] = (nxt[k] + local[k] * v[i]) % p
-                    local = nxt
-                    deg += 1
-            for k in range(4):
-                acc[k] = (acc[k] + local[k]) % p
-        return all(a == 0 for a in acc)
-
     count = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            free_u = [k for k in range(j + 1, 4)]          # columns > j, row u
-            free_uv = [k for k in range(i + 1, 4) if k != j]  # columns > i except j
-            nf_u = len(free_u)
-            nf_v = len(free_uv)
-            for a in range(p ** nf_u):
-                ud = [0, 0, 0, 0]
-                ud[j] = 1
-                aa = a
-                for k in free_u:
-                    ud[k] = aa % p
-                    aa //= p
-                for b in range(p ** nf_v):
-                    vd = [0, 0, 0, 0]
-                    vd[i] = 1
-                    bb = b
-                    for k in free_uv:
-                        vd[k] = bb % p
-                        bb //= p
-                    if binary_cubic_zero(ud, vd):
-                        count += 1
+    for j, u in _charts(4, p):
+        u = [a[:, None] for a in u]
+        u_on = _eval_mod_p(coeffs, u, p) == 0
+        for i, w in _charts(3, p):
+            if i >= j:
+                continue
+            v = [b[None, :] for b in w[:j]] + [0] + [b[None, :] for b in w[j:]]
+            on = u_on & (_eval_mod_p(coeffs, v, p) == 0)
+            for point in ([a + b for a, b in zip(u, v)],
+                          [a - b for a, b in zip(u, v)]):
+                on &= _eval_mod_p(coeffs, point, p) == 0
+            count += int(np.count_nonzero(on))
     return count
 
 

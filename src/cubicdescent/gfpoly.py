@@ -1,15 +1,14 @@
-"""Polynomial arithmetic over prime fields and small extension fields.
+"""Polynomial arithmetic over prime fields.
 
 Polynomials over F_p are lists of ints in [0, p), lowest degree first,
-with no trailing zeros ([] is the zero polynomial).  Extension fields
-F_{p^k} use a fixed modulus: the first monic irreducible of degree k in
-lexicographic coefficient order, so every run picks the same field model.
+with no trailing zeros ([] is the zero polynomial).  The kernels serve the
+Zassenhaus factoriser over Q (polyfactor) and the Frobenius reading of
+each rational factor of the quintic mod q (frobenius).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
 
 
 def gp_trim(f):
@@ -102,32 +101,6 @@ def gp_is_squarefree(f, p):
     return len(gp_gcd(f, gp_deriv(f, p), p)) == 1
 
 
-def gp_is_irreducible(f, p):
-    """Rabin irreducibility test for monic f over F_p."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    h = gp_pow_mod(x, p, f, p)
-    from .intfactor import factorize
-    fac, co = factorize(n)
-    assert co == 1
-    for q in fac:
-        m = n // q
-        # x^(p^m) mod f
-        hm = x
-        for _ in range(m):
-            hm = gp_pow_mod(hm, p, f, p)
-        if len(gp_gcd(gp_sub(hm, x, p), f, p)) != 1:
-            return False
-    hn = x
-    for _ in range(n):
-        hn = gp_pow_mod(hn, p, f, p)
-    return not gp_sub(hn, x, p)
-
-
 def gp_distinct_degree(f, p):
     """Distinct-degree factorization of monic squarefree f.
 
@@ -185,81 +158,3 @@ def gp_factor_squarefree(f, p, seed=0):
         factors.extend(gp_equal_degree(g, d, p, rng))
     factors.sort(key=lambda h: (len(h), tuple(h)))
     return factors
-
-
-def first_irreducible(p, k):
-    """The first monic irreducible of degree k over F_p, ordering monic
-    polynomials by their (c_0, ..., c_{k-1}) coefficient tuple."""
-    if k == 1:
-        return [0, 1]
-    for tail in product(range(p), repeat=k):
-        f = list(tail) + [1]
-        if gp_is_irreducible(f, p):
-            return f
-    raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-class ExtField:
-    """F_{p^k} with the canonical modulus; elements are int tuples of length k."""
-
-    def __init__(self, p: int, k: int):
-        if k < 1 or k > 12:
-            raise ValueError("extension degree out of supported range")
-        self.p = p
-        self.k = k
-        self.modulus = first_irreducible(p, k)
-        self.q = p ** k
-
-    def element(self, coeffs) -> tuple:
-        f = gp_rem(gp_from_int_poly(list(coeffs), self.p), self.modulus, self.p)
-        return tuple(f) + (0,) * (self.k - len(f))
-
-    def zero(self) -> tuple:
-        return (0,) * self.k
-
-    def one(self) -> tuple:
-        return self.element([1])
-
-    def add(self, a, b) -> tuple:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def mul(self, a, b) -> tuple:
-        f = gp_rem(gp_mul(gp_trim(list(a)), gp_trim(list(b)), self.p),
-                   self.modulus, self.p)
-        return tuple(f) + (0,) * (self.k - len(f))
-
-    def pow(self, a, e: int) -> tuple:
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a) -> tuple:
-        f = gp_trim(list(a))
-        if not f:
-            raise ZeroDivisionError("inverse of zero")
-        # extended gcd with the modulus
-        r0, r1 = f, self.modulus
-        s0, s1 = [1], []
-        p = self.p
-        while r1:
-            q, r = gp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, gp_sub(s0, gp_mul(q, s1, p), p)
-        c = pow(r0[-1], p - 2, p)
-        inv = gp_scale(s0, c, p)
-        inv = gp_rem(inv, self.modulus, p)
-        return tuple(inv) + (0,) * (self.k - len(inv))
-
-    def elements(self):
-        for tup in product(range(self.p), repeat=self.k):
-            yield tup

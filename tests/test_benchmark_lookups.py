@@ -3,6 +3,7 @@ attribute name.  Every name it looks up must resolve, so that renaming or
 deleting one of them fails here rather than in a traced benchmark run."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,13 @@ def test_fit_capture_target_resolves(tracing):
     target = tracing.resolve("cubicdescent.lines27", "minimal_cover_subgroup")
     assert callable(target)
     assert tracing.lookup_sites(target)
+
+
+def test_point_count_prime_is_second_positional():
+    # run.py reads p from the recorded arguments as `for _, p, *_ in args`
+    from cubicdescent import frobenius
+
+    for fn in (frobenius.count_points_cubic, frobenius.count_points_dp4):
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[1].name == "p", fn.__name__
+        assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -1,0 +1,191 @@
+"""The F_p kernels (point counts, singular points, line census) against
+plain Python loops over P^n(F_p) and over every line of P^3(F_p)."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from cubicdescent.descent import DP4Surface
+from cubicdescent.errors import BadPrimeError, BudgetExceededError
+from cubicdescent.forms import (CubicForm4, ProjLine, ProjPoint, QuadForm,
+                                line_section_cubic)
+from cubicdescent.frobenius import (census_lines, count_points_cubic,
+                                    count_points_dp4, reduce_cubic_mod_p,
+                                    singular_points_mod_p)
+
+from conftest import (PAPER_CUBIC_COEFFS, PAPER_Q0_COEFFS, PAPER_Q1_COEFFS,
+                      random_cubic_with_line, random_quadform)
+
+FERMAT = CubicForm4({(3, 0, 0, 0): 1, (0, 3, 0, 0): 1,
+                     (0, 0, 3, 0): 1, (0, 0, 0, 3): 1})
+CONE = CubicForm4({(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1})
+NODE = CubicForm4({(1, 0, 2, 0): 1, (0, 1, 0, 2): 1, (1, 1, 1, 0): 1})
+
+
+def _cubics():
+    rng = random.Random(31)
+    out = {"paper": CubicForm4(PAPER_CUBIC_COEFFS), "fermat": FERMAT,
+           "cone": CONE, "node": NODE}
+    for k in range(4):
+        out[f"line{k}"] = random_cubic_with_line(rng)[0]
+    return out
+
+
+def _pair_through(rng, point):
+    """Two integer quadrics through point (point[0] = 1), by shifting the
+    x0^2 coefficient of each."""
+    quads = []
+    for _ in range(2):
+        coeffs = {(i, j): rng.randint(-4, 4)
+                  for i in range(5) for j in range(i, 5)}
+        coeffs[0, 0] -= QuadForm.from_poly_coeffs(5, coeffs).evaluate(point)
+        quads.append(QuadForm.from_poly_coeffs(5, coeffs))
+    return DP4Surface(*quads)
+
+
+def _pairs():
+    rng = random.Random(32)
+    out = [DP4Surface(QuadForm.from_poly_coeffs(5, PAPER_Q0_COEFFS),
+                      QuadForm.from_poly_coeffs(5, PAPER_Q1_COEFFS))]
+    for _ in range(3):
+        out.append(_pair_through(
+            rng, (1,) + tuple(rng.randint(-3, 3) for _ in range(4))))
+    out.append(DP4Surface(random_quadform(rng), random_quadform(rng)))
+    return out
+
+
+CUBICS = _cubics()
+PAIRS = _pairs()
+
+
+def _mod(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _projective_points(n, p):
+    """Every point of P^(n-1)(F_p): nonzero vectors whose first nonzero
+    coordinate is 1."""
+    for v in product(range(p), repeat=n):
+        nonzero = [c for c in v if c]
+        if nonzero and nonzero[0] == 1:
+            yield v
+
+
+def _echelon_lines(p):
+    """Every line of P^3(F_p) as the two rows of its reduced echelon
+    matrix: pivots i < j, zeros left of each pivot, and row v zero at j."""
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for tail_u in product(range(p), repeat=3 - j):
+                u = (0,) * j + (1,) + tail_u
+                for tail_v in product(range(p), repeat=2 - i):
+                    v = list((0,) * i + (1,) + tail_v)
+                    v.insert(j, 0)
+                    yield u, tuple(v)
+
+
+# the Fraction oracle takes about 3 s per cubic at p = 7
+CENSUS_CASES = ([(name, p) for p in (3, 5) for name in CUBICS]
+                + [(name, 7) for name in ("paper", "fermat", "node", "line0")])
+
+
+@pytest.mark.parametrize("name, p", CENSUS_CASES)
+def test_census_against_line_sections(name, p):
+    reduced = CubicForm4(reduce_cubic_mod_p(CUBICS[name], p))
+    lines = list(_echelon_lines(p))
+    assert len(lines) == (p * p + 1) * (p * p + p + 1)
+    expected = sum(
+        all(_mod(c, p) == 0 for c in line_section_cubic(
+            reduced, ProjLine.from_points(ProjPoint(u), ProjPoint(v))))
+        for u, v in lines)
+    assert census_lines(CUBICS[name], p) == expected
+
+
+def test_census_lines_needs_odd_p():
+    for F in CUBICS.values():
+        with pytest.raises(BadPrimeError):
+            census_lines(F, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", list(CUBICS))
+def test_cubic_counts_and_singular_points(name, p):
+    F = CUBICS[name]
+    points = zeros = singular = 0
+    for x in _projective_points(4, p):
+        points += 1
+        if _mod(F.evaluate(x), p):
+            continue
+        zeros += 1
+        singular += all(_mod(g, p) == 0 for g in F.gradient(x))
+    assert points == p ** 3 + p ** 2 + p + 1
+    assert count_points_cubic(F, p) == zeros
+    assert singular_points_mod_p(F, p) == singular
+
+
+def test_singular_points_examples():
+    assert singular_points_mod_p(CONE, 5) == 1              # the vertex
+    assert singular_points_mod_p(NODE, 7) >= 1              # (0:0:0:1)
+    assert singular_points_mod_p(FERMAT, 5) == 0
+    # mod 3 every partial of the Fermat cubic vanishes identically
+    assert singular_points_mod_p(FERMAT, 3) == count_points_cubic(FERMAT, 3)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("k", range(len(PAIRS)))
+def test_dp4_counts(k, p):
+    V = PAIRS[k]
+    expected = sum(_mod(V.Q0.evaluate(x), p) == 0
+                   and _mod(V.Q1.evaluate(x), p) == 0
+                   for x in _projective_points(5, p))
+    assert count_points_dp4(V, p) == expected
+
+
+def test_dp4_count_needs_odd_p():
+    for V in PAIRS:
+        with pytest.raises(BadPrimeError):
+            count_points_dp4(V, 2)
+
+
+def _cubic_cost(p):
+    return (p ** 3 + p ** 2 + p + 1) * 20
+
+
+def _dp4_cost(p):
+    return (p ** 4 + p ** 3 + p ** 2 + p + 1) * 30
+
+
+def _census_cost(p):
+    return (p * p + 1) * (p * p + p + 1) * 30
+
+
+@pytest.mark.parametrize("kernel, cost, surface", [
+    (count_points_cubic, _cubic_cost, CUBICS["paper"]),
+    (census_lines, _census_cost, CUBICS["paper"]),
+    (count_points_dp4, _dp4_cost, PAIRS[0]),
+])
+def test_budget_boundaries(kernel, cost, surface):
+    # a budget of exactly cost(p) admits p and rejects the next prime
+    for below, first in ((3, 5), (5, 7)):
+        budget = cost(below)
+        kernel(surface, below, budget)
+        with pytest.raises(BudgetExceededError):
+            kernel(surface, below, budget - 1)
+        with pytest.raises(BudgetExceededError):
+            kernel(surface, first, budget)
+
+
+def test_default_budget_first_rejected_prime():
+    # the enumeration would be too large: the check runs before any work
+    with pytest.raises(BudgetExceededError):
+        count_points_cubic(FERMAT, 173)
+    assert _cubic_cost(167) <= 10 ** 8 < _cubic_cost(173)
+    with pytest.raises(BudgetExceededError):
+        census_lines(FERMAT, 43)
+    assert _census_cost(41) <= 10 ** 8 < _census_cost(43)
+    with pytest.raises(BudgetExceededError):
+        count_points_dp4(PAIRS[0], 43)
+    assert _dp4_cost(41) <= 10 ** 8 < _dp4_cost(43)

@@ -5,12 +5,11 @@ import pytest
 from cubicdescent.errors import BadPrimeError, BudgetExceededError
 from cubicdescent.forms import CubicForm4, QuadForm
 from cubicdescent.frobenius import (census_lines, count_points_cubic,
-                                    count_points_cubic_ext, count_points_dp4,
+                                    count_points_dp4,
                                     frobenius_class, frobenius_class_anchored,
                                     good_prime, lefschetz_check,
                                     reduce_cubic_mod_p, reduce_dp4_mod_p,
                                     sample_frobenius)
-from cubicdescent.gfpoly import ExtField
 
 
 def test_reduce_mod_p_flags():
@@ -47,11 +46,6 @@ def test_count_points_budget():
                          (0, 0, 3, 0): 1, (0, 0, 0, 3): 1})
     with pytest.raises(BudgetExceededError):
         count_points_cubic(fermat, 101, budget=1000)
-
-
-def test_count_points_ext_agrees_with_prime_field(fermat):
-    f7 = ExtField(7, 1)
-    assert count_points_cubic_ext(fermat, f7) == 99
 
 
 def test_census_lines_fermat(fermat):

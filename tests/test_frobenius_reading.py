@@ -3,7 +3,7 @@ block-anchored parts, and the per-report values are computed once."""
 
 import pytest
 
-from cubicdescent import descent
+from cubicdescent import descent, polyfactor
 from cubicdescent.descent import run_strategy
 from cubicdescent.frobenius import (_euler_square, _reduce_fraction,
                                     frobenius_class, frobenius_class_anchored,
@@ -48,14 +48,30 @@ def test_plain_class_is_union_of_blocks(quintic):
 
 
 def test_report_values_computed_once(monkeypatch):
-    _, rep = run_strategy(QUINTICS[1])
     calls = {"factor": 0, "disc": 0, "norm": 0}
+    factored = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
+
+    def recorded(fn):
+        def wrapper(f, *args, **kwargs):
+            factored.append(f)
+            return fn(f, *args, **kwargs)
+        return wrapper
+
+    # run_strategy factors chi_m once: the radicand entries are read off
+    # the report's rational factors
+    monkeypatch.setattr(polyfactor, "factor_unipoly",
+                        recorded(polyfactor.factor_unipoly))
+    monkeypatch.setattr(descent, "factor_unipoly",
+                        recorded(descent.factor_unipoly))
+    _, rep = run_strategy(QUINTICS[1])
+    assert factored.count(rep.tritangent_poly) == 1
+    assert len(rep.entries) == 1
 
     monkeypatch.setattr(descent, "factor_unipoly",
                         counted("factor", descent.factor_unipoly))
@@ -65,4 +81,4 @@ def test_report_values_computed_once(monkeypatch):
                         counted("norm", type(rep.splitting_element).norm))
     sr = sample_frobenius(rep, prime_count=20, prime_bound=200)
     assert sr.sample_count == 20
-    assert calls == {"factor": 1, "disc": 0, "norm": 1}
+    assert calls == {"factor": 0, "disc": 0, "norm": 1}
