@@ -5,10 +5,10 @@ The public surface: exact linear algebra and polynomial arithmetic over Q
 (linalg, unipoly, polyfactor, intfactor), forms and projective objects
 (forms), the quintic algebra (etale), the descent construction (descent),
 blow-up/blow-down geometry (geometry), bounded-height point search
-(pointsearch), exact smoothness (ideals: Groebner certificates for cubic
-surfaces, the pencil-determinant criterion for quadric pairs), the 27-lines
-model and Frobenius sampling (lines27, frobenius), JSON artifacts
-(serialize) and the CLI (cli).
+(pointsearch), exact smoothness (ideals: the rank of the Macaulay matrix of
+the partials for cubic surfaces, the pencil-determinant criterion for
+quadric pairs), the 27-lines model and Frobenius sampling (lines27,
+frobenius), JSON artifacts (serialize) and the CLI (cli).
 """
 
 from fractions import Fraction as Rational

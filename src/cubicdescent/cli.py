@@ -86,16 +86,20 @@ def _workers() -> int:
 
 
 def cmd_descend(args) -> int:
-    data = _read_json(args.input)
-    if "schema" in data and data["schema"] == "descent-input@1":
-        inp = parse_descent_input(data)
-    else:
-        inp = _descent_input_from_config(data)
+    inp = _read_descent_input(args.input)
     surface = build_quadrics(inp)
     report = radicand_report(inp)
     _write_json({"dp4": emit_dp4(surface),
                  "radicands": emit_radicand_report(report)}, args.output)
     return 0
+
+
+def _read_descent_input(path: str) -> DescentInput:
+    """A descent-input@1 document, or else a quintic config."""
+    data = _read_json(path)
+    if "schema" in data and data["schema"] == "descent-input@1":
+        return parse_descent_input(data)
+    return _descent_input_from_config(data)
 
 
 def _descent_input_from_config(data) -> DescentInput:
@@ -174,11 +178,7 @@ def cmd_verify(args) -> int:
 def cmd_frobenius(args) -> int:
     from .frobenius import sample_frobenius
 
-    data = _read_json(args.input)
-    if "schema" in data and data["schema"] == "descent-input@1":
-        inp = parse_descent_input(data)
-    else:
-        inp = _descent_input_from_config(data)
+    inp = _read_descent_input(args.input)
     report = radicand_report(inp)
     sampling = sample_frobenius(report, prime_count=args.primes,
                                 prime_bound=args.bound)

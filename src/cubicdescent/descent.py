@@ -221,10 +221,7 @@ def norm_form(algebra: EtaleAlgebra, a: AlgElement, b: AlgElement) -> BinaryQuin
     the multiplication-matrix norm.
     """
     ts = [0, 1, -1, 2, -2, 3]
-    vals = []
-    for t in ts:
-        g = a.poly * t + b.poly
-        vals.append(algebra.p.resultant(g) if not g.is_zero() else Fraction(0))
-    vmat = Matrix.from_rows([[Fraction(t) ** k for k in range(6)] for t in ts])
-    coeffs = solve_linear(vmat, vals)
-    return BinaryQuintic(coeffs)
+    gs = [a.poly * t + b.poly for t in ts]
+    poly = UniPoly.interpolate(
+        ts, [algebra.p.resultant(g) if g else Fraction(0) for g in gs])
+    return BinaryQuintic([poly[k] for k in range(6)])

@@ -76,30 +76,20 @@ class EtaleAlgebra:
 def split_idempotents(algebra: EtaleAlgebra, roots) -> list:
     """The orthogonal idempotents of a split algebra with the given
     distinct rational roots (Lagrange interpolation basis)."""
+    return [from_split_values(algebra, roots,
+                              [int(j == i) for j in range(DEGREE)])
+            for i in range(DEGREE)]
+
+
+def from_split_values(algebra: EtaleAlgebra, roots, values) -> "AlgElement":
+    """Element of a split algebra with prescribed value at each root: the
+    interpolating polynomial of degree < 5."""
     roots = [Fraction(r) for r in roots]
     if len(roots) != DEGREE or len(set(roots)) != DEGREE:
         raise NotEtaleError("need 5 distinct rational roots")
     if UniPoly.from_roots(roots) != algebra.p:
         raise ValueError("roots do not match the defining polynomial")
-    out = []
-    for i, ri in enumerate(roots):
-        num = UniPoly.one()
-        den = Fraction(1)
-        for j, rj in enumerate(roots):
-            if j != i:
-                num = num * UniPoly([-rj, 1])
-                den *= ri - rj
-        out.append(algebra.element(num * (1 / den)))
-    return out
-
-
-def from_split_values(algebra: EtaleAlgebra, roots, values) -> "AlgElement":
-    """Element of a split algebra with prescribed value at each root."""
-    idem = split_idempotents(algebra, roots)
-    acc = algebra.zero()
-    for e, v in zip(idem, values):
-        acc = acc + e * Fraction(v)
-    return acc
+    return algebra.element(UniPoly.interpolate(roots, values))
 
 
 class AlgElement:

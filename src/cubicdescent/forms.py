@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .linalg import Matrix, det, nullspace, rank, solve_linear
+from .linalg import Matrix, det, nullspace, rank
 from .unipoly import UniPoly
 
 
@@ -25,9 +25,7 @@ def _frac(x) -> Fraction:
 def monomials_deg3() -> list:
     """Exponent tuples of the 20 degree-3 monomials in 4 variables, in a
     fixed (descending lexicographic) order."""
-    out = [tuple_ for tuple_ in _exps(4, 3)]
-    out.sort(reverse=True)
-    return out
+    return sorted(_exps(4, 3), reverse=True)
 
 
 def _exps(nvars: int, deg: int):
@@ -168,6 +166,18 @@ class LinForm:
         return f"LinForm({list(self.coeffs)})"
 
 
+def _eval_map(coeffs: dict, v) -> Fraction:
+    """Value of the form {exponent: coefficient} at the point v."""
+    total = Fraction(0)
+    for e, c in coeffs.items():
+        t = c
+        for x, k in zip(v, e):
+            for _ in range(k):
+                t *= x
+        total += t
+    return total
+
+
 class CubicForm4:
     """Cubic form in 4 variables: map from exponent 4-tuples (sum 3) to
     nonzero rational coefficients."""
@@ -189,30 +199,17 @@ class CubicForm4:
         return not self.coeffs
 
     def evaluate(self, point) -> Fraction:
-        v = [_frac(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            t = c
-            for x, k in zip(v, e):
-                for _ in range(k):
-                    t *= x
-            total += t
-        return total
+        return _eval_map(self.coeffs, [_frac(x) for x in point])
+
+    def partials(self) -> list:
+        """The four partial derivatives dF/dx_i as coefficient maps
+        {exponent (sum 2): coefficient}; a partial that vanishes is {}."""
+        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                 for e, c in self.coeffs.items() if e[i]} for i in range(4)]
 
     def gradient(self, point) -> tuple:
         v = [_frac(x) for x in point]
-        out = [Fraction(0)] * 4
-        for e, c in self.coeffs.items():
-            for i in range(4):
-                if e[i] == 0:
-                    continue
-                t = c * e[i]
-                for j in range(4):
-                    k = e[j] - (1 if j == i else 0)
-                    for _ in range(k):
-                        t *= v[j]
-                out[i] += t
-        return tuple(out)
+        return tuple(_eval_map(d, v) for d in self.partials())
 
     def substitute(self, change: Matrix) -> "CubicForm4":
         """Form composed with x -> change * x."""
@@ -557,13 +554,8 @@ def pencil_determinant(q0: QuadForm, q1: QuadForm) -> BinaryQuintic:
     if q0.n != 5 or q1.n != 5:
         raise PreconditionError("pencil determinant expects 5-variable forms")
     ts = [0, 1, -1, 2, -2, 3]
-    vals = []
-    for t in ts:
-        m = q0.gram.scale(t) + q1.gram
-        vals.append(det(m))
-    vmat = Matrix.from_rows([[Fraction(t) ** k for k in range(6)] for t in ts])
-    coeffs = solve_linear(vmat, vals)
-    return BinaryQuintic(coeffs)
+    poly = UniPoly.interpolate(ts, [det(q0.gram.scale(t) + q1.gram) for t in ts])
+    return BinaryQuintic([poly[k] for k in range(6)])
 
 
 def line_section_cubic(s: CubicForm4, line: ProjLine) -> list:

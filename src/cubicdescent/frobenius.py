@@ -71,14 +71,15 @@ def _reduce_fraction(c: Fraction, p: int) -> int:
     return c.numerator * pow(c.denominator, p - 2, p) % p
 
 
+def _residues(coeffs: dict, p: int) -> dict:
+    """The nonzero residues {exponent: c mod p} of a coefficient map."""
+    return {e: v for e, c in coeffs.items() if (v := _reduce_fraction(c, p))}
+
+
 def _reduce_map(coeffs: dict, p: int, what: str) -> dict:
-    """The nonzero residues {exponent: c mod p} of a coefficient map; flags
-    p as bad when a denominator or the whole form vanishes."""
-    out = {}
-    for e, c in coeffs.items():
-        v = _reduce_fraction(c, p)
-        if v:
-            out[e] = v
+    """_residues, flagging p as bad when a denominator or the whole form
+    vanishes."""
+    out = _residues(coeffs, p)
     if not out:
         raise BadPrimeError(f"{what} vanishes mod {p}")
     return out
@@ -147,11 +148,14 @@ def _count_zeros(forms, n: int, p: int) -> int:
     return count
 
 
+def _check_p3_budget(p: int, budget: int) -> None:
+    if (p ** 3 + p ** 2 + p + 1) * 20 > budget:
+        raise BudgetExceededError(f"P^3(F_{p}) enumeration exceeds budget")
+
+
 def count_points_cubic(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """#S(F_p) for the cubic surface, by full enumeration over P^3(F_p)."""
-    total_pts = p ** 3 + p ** 2 + p + 1
-    if total_pts * 20 > budget:
-        raise BudgetExceededError(f"P^3(F_{p}) enumeration exceeds budget")
+    _check_p3_budget(p, budget)
     return _count_zeros([reduce_cubic_mod_p(F, p)], 4, p)
 
 
@@ -166,16 +170,10 @@ def count_points_dp4(V, p: int, budget: int = DEFAULT_BUDGET) -> int:
 def singular_points_mod_p(F: CubicForm4, p: int) -> int:
     """Number of points of P^3(F_p) where F and its four partials vanish
     (a partial that vanishes mod p is the zero form)."""
+    _check_p3_budget(p, DEFAULT_BUDGET)
     coeffs = reduce_cubic_mod_p(F, p)
-    partials = []
-    for i in range(4):
-        terms = {}
-        for e, c in coeffs.items():
-            if e[i]:
-                key = e[:i] + (e[i] - 1,) + e[i + 1:]
-                terms[key] = (terms.get(key, 0) + c * e[i]) % p
-        partials.append(terms)
-    return _count_zeros([coeffs] + partials, 4, p)
+    return _count_zeros([coeffs] + [_residues(d, p) for d in F.partials()],
+                        4, p)
 
 
 def census_lines(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:

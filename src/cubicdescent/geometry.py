@@ -296,13 +296,10 @@ def _minor_poly(gram0: Matrix, gram1: Matrix, k: int) -> UniPoly:
     """det of (t*gram0 + gram1) with row/col k deleted, as a polynomial in t."""
     idx = [i for i in range(5) if i != k]
     ts = [0, 1, -1, 2, 3]
-    vals = []
-    for t in ts:
-        m = Matrix.from_rows([
-            [t * gram0[i, j] + gram1[i, j] for j in idx] for i in idx])
-        vals.append(det(m))
-    vmat = Matrix.from_rows([[Fraction(t) ** j for j in range(5)] for t in ts])
-    return UniPoly(solve_linear(vmat, vals))
+    return UniPoly.interpolate(ts, [
+        det(Matrix.from_rows([[t * gram0[i, j] + gram1[i, j] for j in idx]
+                              for i in idx]))
+        for t in ts])
 
 
 def tritangent_analysis(V: DP4Surface) -> list:

@@ -1,21 +1,30 @@
-"""Exact smoothness: a small Buchberger engine over Q for cubic surfaces,
-and the pencil-determinant criterion for quadric pairs in P^4.
-
-Sparse multivariate polynomials in up to 5 variables, grevlex order with
-x0 < x1 < ... Content is stripped to primitive integer form after every
-reduction to keep coefficients small.  Pair selection is by (lcm degree,
-lcm, indices), with the coprime-leading-term and chain criteria.
-`smooth_cubic` certifies a cubic surface chart by chart with it;
-`smooth_dp4` needs no Groebner basis.
+"""Exact smoothness: the Macaulay-matrix rank of the partials for cubic
+surfaces and the pencil-determinant criterion for quadric pairs in P^4;
+neither needs a Groebner basis.  The small Buchberger engine over Q
+(`buchberger`, `is_unit_ideal`) serves as a test oracle: sparse
+polynomials in up to 5 variables, grevlex order with x0 < x1 < ...,
+content stripped to primitive integer form after every reduction, pairs
+selected by (lcm degree, lcm, indices) with the coprime-leading-term and
+chain criteria.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm as int_lcm
 
 from .errors import PreconditionError, ZeroPolynomialError
+from .forms import CubicForm4, monomials_deg3
+from .linalg import Matrix, rank, rank_mod_p
+
+#: the prime of the modular rank in smooth_cubic
+MACAULAY_PRIME = 2_147_483_647
+
+#: column of each of the 56 quintic monomials in 4 variables
+_QUINTIC_COLUMN = {e: k for k, e in enumerate(
+    e for e in product(range(6), repeat=4) if sum(e) == 5)}
 
 
 def grevlex_key(e: tuple):
@@ -286,46 +295,29 @@ def is_unit_ideal(gens: list) -> bool:
     return buchberger(gens).is_unit()
 
 
-def _dehomogenize_cubic(F, chart: int) -> MPoly:
-    """Cubic form in 4 variables with x_chart = 1, as an MPoly in 3 vars."""
-    terms = {}
-    for e, c in F.coeffs.items():
-        rest = tuple(v for k, v in enumerate(e) if k != chart)
-        terms[rest] = terms.get(rest, Fraction(0)) + c
-    return MPoly(3, terms)
-
-
 def smooth_cubic(S) -> bool:
-    """Exact smoothness of a cubic surface by chart-wise unit-ideal tests
-    on the Jacobian ideal (F, dF/dx0, ..., dF/dx3)."""
-    from .forms import CubicForm4
+    """Exact smoothness of a cubic surface F = 0 in P^3 over Q.
 
+    By Euler's formula Sing(S) is the common zero set of the four partials
+    of F.  Four quadrics in four variables have no common zero exactly when
+    they form a regular sequence; the quotient then has Hilbert series
+    (1 + t)^4, so their multiples by the 20 cubic monomials span all 56
+    quintic monomials.  S is smooth iff that 80 x 56 Macaulay matrix of
+    the primitive integer form has rank 56.  Full rank mod MACAULAY_PRIME
+    proves it over Q; only a deficient rank mod p falls through to the
+    exact rank."""
     F = S.F if hasattr(S, "F") else S
     if not isinstance(F, CubicForm4) or F.is_zero():
         raise ZeroPolynomialError("smoothness of a zero form")
-    partials = []
-    for i in range(4):
-        terms = {}
-        for e, c in F.coeffs.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + c * e[i]
-        partials.append(terms)
-    for chart in range(4):
-        gens = [_dehomogenize_cubic(F, chart)]
-        for terms in partials:
-            rest = {}
-            for e, c in terms.items():
-                key = tuple(v for k, v in enumerate(e) if k != chart)
-                rest[key] = rest.get(key, Fraction(0)) + c
-            g = MPoly(3, rest)
-            if g:
-                gens.append(g)
-        if not is_unit_ideal(gens):
-            return False
-    return True
+    rows = []
+    for d in CubicForm4(F.primitive_coeffs()[1]).partials():
+        for m in monomials_deg3():
+            row = [0] * len(_QUINTIC_COLUMN)
+            for e, c in d.items():
+                row[_QUINTIC_COLUMN[tuple(a + b for a, b in zip(e, m))]] = int(c)
+            rows.append(row)
+    return (rank_mod_p(rows, MACAULAY_PRIME) == len(_QUINTIC_COLUMN)
+            or rank(Matrix.from_rows(rows)) == len(_QUINTIC_COLUMN))
 
 
 def smooth_dp4(V) -> bool:

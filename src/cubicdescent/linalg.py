@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, and the rank of an
+integer matrix mod a prime.
 
 Matrices are immutable with Fraction entries.  Elimination runs
 fraction-free (Bareiss) on integer-rescaled rows, so intermediate values
@@ -210,6 +211,24 @@ def rank(m: Matrix) -> int:
     rows, _ = _integer_rows(m)
     pivots, _ = _bareiss_echelon(rows)
     return len(pivots)
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p (p prime) of an integer matrix given as a list of
+    rows, by Gaussian elimination on residues."""
+    rows = [[x % p for x in r] for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is None:
+            continue
+        piv = rows.pop(i)
+        inv = pow(piv[c], -1, p)
+        piv = [x * inv % p for x in piv]
+        rows = [[(a - row[c] * b) % p for a, b in zip(row, piv)]
+                if row[c] else row for row in rows]
+        r += 1
+    return r
 
 
 def charpoly(m: Matrix):

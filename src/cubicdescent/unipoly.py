@@ -7,7 +7,7 @@ empty tuple and has degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ZeroPolynomialError
 
@@ -55,6 +55,18 @@ class UniPoly:
         for r in roots:
             p = p * cls((-_frac(r), 1))
         return p
+
+    @classmethod
+    def interpolate(cls, ts, values) -> "UniPoly":
+        """The polynomial of degree < len(ts) taking values[i] at the
+        distinct nodes ts[i], by Lagrange's formula."""
+        ts = [_frac(t) for t in ts]
+        acc = cls.zero()
+        for i, (ti, vi) in enumerate(zip(ts, values)):
+            others = ts[:i] + ts[i + 1:]
+            acc = acc + cls.from_roots(others) * (
+                _frac(vi) / prod(ti - tj for tj in others))
+        return acc
 
     @property
     def degree(self) -> int:

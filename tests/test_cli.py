@@ -144,3 +144,27 @@ def test_cli_schema_error_exit_code(tmp_path):
     bad.write_text(json.dumps({"schema": "nope@9"}))
     proc = _run(["verify", "-i", str(bad)])
     assert proc.returncode == 2
+
+
+def test_cli_descent_input_or_config(tmp_path):
+    # descend and frobenius read a descent-input@1 document and the config
+    # it comes from alike; any other document is read as a config
+    from cubicdescent.cli import _descent_input_from_config, main
+    from cubicdescent.serialize import emit_descent_input
+
+    cfg = {k: v for k, v in _split_config().items() if k in ("p", "l")}
+    doc = emit_descent_input(_descent_input_from_config(cfg))
+    outputs = {}
+    for name, data in (("config", cfg), ("document", doc)):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(data))
+        for cmd, extra in (("descend", []),
+                           ("frobenius", ["--primes", "4", "--bound", "60"])):
+            out = tmp_path / f"{name}-{cmd}.json"
+            assert main([cmd, "-i", str(src), "-o", str(out), *extra]) == 0
+            outputs[name, cmd] = json.loads(out.read_text())
+    for cmd in ("descend", "frobenius"):
+        assert outputs["config", cmd] == outputs["document", cmd]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "schema": "descent-input@2"}))
+    assert main(["descend", "-i", str(bad)]) == 2

@@ -24,6 +24,22 @@ def test_evaluate_gradient_fermat(fermat):
     assert gradient(fermat, [1, -1, 0, 0]) == (3, 3, 0, 0)
 
 
+def test_partials_euler_identity(paper_cubic, rng):
+    # sum x_i * dF/dx_i = 3F, and the gradient reads the partials
+    F = paper_cubic.F
+    parts = F.partials()
+    assert [sum(e) for d in parts for e in d] == [2] * sum(map(len, parts))
+    for _ in range(5):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+        grad = F.gradient(x)
+        assert sum(xi * g for xi, g in zip(x, grad)) == 3 * F.evaluate(x)
+        assert grad == tuple(sum(c * x[0] ** e[0] * x[1] ** e[1]
+                                 * x[2] ** e[2] * x[3] ** e[3]
+                                 for e, c in d.items()) for d in parts)
+    fermat = CubicForm4({(3, 0, 0, 0): 1, (0, 0, 0, 3): 2})
+    assert fermat.partials() == [{(2, 0, 0, 0): 3}, {}, {}, {(0, 0, 0, 2): 6}]
+
+
 def test_paper_cubic_contains_its_points(paper_cubic):
     for pt in PAPER_LINE_POINTS:
         assert contains_point(paper_cubic.F, pt)

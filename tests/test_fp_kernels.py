@@ -189,3 +189,18 @@ def test_default_budget_first_rejected_prime():
     with pytest.raises(BudgetExceededError):
         count_points_dp4(PAIRS[0], 43)
     assert _dp4_cost(41) <= 10 ** 8 < _dp4_cost(43)
+
+
+def test_singular_points_budget(monkeypatch):
+    # the P^3 budget of count_points_cubic, checked before any chart
+    # array is built: 173 is the first prime over it, 167 passes
+    from cubicdescent import frobenius
+
+    def no_charts(n, p):
+        raise AssertionError(f"charts built at p={p}")
+
+    monkeypatch.setattr(frobenius, "_charts", no_charts)
+    with pytest.raises(BudgetExceededError):
+        singular_points_mod_p(FERMAT, 173)
+    with pytest.raises(AssertionError, match="p=167"):
+        singular_points_mod_p(FERMAT, 167)

@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from cubicdescent.errors import PreconditionError
-from cubicdescent.forms import CubicForm4, QuadForm
+from cubicdescent import ideals, linalg
+from cubicdescent.errors import PreconditionError, ZeroPolynomialError
+from cubicdescent.forms import CubicForm4, QuadForm, monomials_deg3
 from cubicdescent.descent import DP4Surface
-from cubicdescent.ideals import (MPoly, buchberger,
+from cubicdescent.ideals import (MACAULAY_PRIME, MPoly, buchberger,
                                  is_unit_ideal, reduce_poly, s_polynomial,
                                  smooth_cubic, smooth_dp4)
+from cubicdescent.linalg import Matrix
+
+from conftest import PAPER_CUBIC_COEFFS, random_cubic_with_line
 
 
 def _vars2():
@@ -67,6 +72,139 @@ def test_smooth_cubic_examples(fermat, paper_cubic):
     cone = CubicForm4({(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1})
     assert not smooth_cubic(cone)
     assert smooth_cubic(paper_cubic)
+
+
+def _jacobian_smooth_cubic(F) -> bool:
+    """Oracle: on each chart x_c = 1 of P^3, the ideal of F and its four
+    partials is the unit ideal."""
+    partials = []
+    for i in range(4):
+        terms = {}
+        for e, c in F.coeffs.items():
+            if e[i] == 0:
+                continue
+            e2 = list(e)
+            e2[i] -= 1
+            terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + c * e[i]
+        partials.append(terms)
+    for chart in range(4):
+        gens = []
+        for terms in [F.coeffs] + partials:
+            rest = {}
+            for e, c in terms.items():
+                key = tuple(v for k, v in enumerate(e) if k != chart)
+                rest[key] = rest.get(key, Fraction(0)) + c
+            g = MPoly(3, rest)
+            if g:
+                gens.append(g)
+        if not is_unit_ideal(gens):
+            return False
+    return True
+
+
+def _form(terms) -> CubicForm4:
+    """The cubic sum(c * x_i * x_j * x_k) of {(i, j, k): c}."""
+    out = {}
+    for idx, c in terms.items():
+        e = [0, 0, 0, 0]
+        for i in idx:
+            e[i] += 1
+        out[tuple(e)] = out.get(tuple(e), 0) + c
+    return CubicForm4(out)
+
+
+def _planted(rng, on_line: bool) -> CubicForm4:
+    """l0*q0 + l1*q1 singular at (1:0:0:0), through the line l0 = l1 = 0
+    (x2 = x3 = 0, which contains the point, or x0 = x1 = 0, which does
+    not), in random integer coordinates."""
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    if on_line:
+        # no x0^2 in either quadric: no x0^2*x2, x0^2*x3 in F
+        q0 = q1 = [ij for ij in pairs if ij != (0, 0)]
+        lines = (2, 3)
+    else:
+        # q0 free of x0, no x0^2 in q1: no x0^3, x0^2*x1 in F
+        q0 = [ij for ij in pairs if ij[0] != 0]
+        q1 = [ij for ij in pairs if ij != (0, 0)]
+        lines = (0, 1)
+    terms = {}
+    for l, q in zip(lines, (q0, q1)):
+        for ij in q:
+            terms[(l,) + ij] = terms.get((l,) + ij, 0) + rng.randint(-3, 3)
+    while True:
+        m = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(4)]
+                              for _ in range(4)])
+        if linalg.det(m) != 0:
+            return _form(terms).substitute(m)
+
+
+def _smoothness_cases():
+    rng = random.Random(41)
+    cases = {"paper": CubicForm4(PAPER_CUBIC_COEFFS),
+             "cone": _form({(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1}),
+             # the plane x0 times a smooth quadric
+             "reducible": _form({(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 1,
+                                 (0, 3, 3): -1}),
+             "fractions": CubicForm4({e: Fraction(rng.randint(-9, 9),
+                                                  rng.randint(1, 9))
+                                      for e in monomials_deg3()})}
+    for k in range(3):
+        cases[f"random{k}"] = CubicForm4({e: rng.randint(-5, 5)
+                                          for e in monomials_deg3()})
+        cases[f"line{k}"] = random_cubic_with_line(rng)[0]
+        cases[f"planted_on_line{k}"] = _planted(rng, True)
+        cases[f"planted_off_line{k}"] = _planted(rng, False)
+    return cases
+
+
+SMOOTHNESS_CASES = _smoothness_cases()
+
+
+@pytest.mark.parametrize("name", list(SMOOTHNESS_CASES))
+def test_smooth_cubic_matches_jacobian_oracle(name):
+    F = SMOOTHNESS_CASES[name]
+    verdict = smooth_cubic(F)
+    assert verdict == _jacobian_smooth_cubic(F)
+    if name.startswith(("planted", "cone", "reducible")):
+        assert verdict is False
+
+
+def test_smooth_cubic_exact_rank_fallback(monkeypatch, fermat):
+    # a cone mod MACAULAY_PRIME but smooth over Q: only the exact rank
+    # can say so
+    calls = []
+
+    def counted_rank(m):
+        calls.append(m)
+        return linalg.rank(m)
+
+    monkeypatch.setattr(ideals, "rank", counted_rank)
+    F = CubicForm4({(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1,
+                    (0, 0, 0, 3): MACAULAY_PRIME})
+    assert smooth_cubic(F) is True
+    assert len(calls) == 1
+    calls.clear()
+    assert smooth_cubic(fermat) is True
+    assert calls == []
+
+
+def test_smooth_cubic_makes_no_buchberger_call(monkeypatch, paper_cubic):
+    calls = []
+
+    def counted_buchberger(gens):
+        calls.append(gens)
+        return buchberger(gens)
+
+    monkeypatch.setattr(ideals, "buchberger", counted_buchberger)
+    assert smooth_cubic(paper_cubic) is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [CubicForm4({}), "x",
+                                 QuadForm.diagonal([1, 1, 1, 1])])
+def test_smooth_cubic_rejects_non_cubics(bad):
+    with pytest.raises(ZeroPolynomialError):
+        smooth_cubic(bad)
 
 
 def test_smooth_cubic_mod_p_oracle():

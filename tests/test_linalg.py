@@ -5,7 +5,7 @@ import pytest
 
 from cubicdescent.errors import NonSquareMatrixError, SingularMatrixError
 from cubicdescent.linalg import (Matrix, charpoly, det, inverse, nullspace,
-                                 rank, solve_linear)
+                                 rank, rank_mod_p, solve_linear)
 from cubicdescent.unipoly import UniPoly
 
 from conftest import PAPER_Q0_COEFFS
@@ -118,3 +118,30 @@ def test_nullspace_and_inverse():
         inverse(m)
     a = Matrix.from_rows([[1, 2], [3, 4]])
     assert a @ inverse(a) == Matrix.identity(2)
+
+
+def test_rank_mod_p_examples():
+    assert rank_mod_p([], 7) == 0
+    assert rank_mod_p([[0, 0], [0, 0]], 7) == 0
+    assert rank_mod_p([[1, 2], [2, 4]], 7) == 1
+    assert rank_mod_p([[1, 0], [0, 5]], 5) == 1
+    assert rank_mod_p([[1, 0], [0, 5]], 7) == 2
+    assert rank_mod_p([[0, 3, 1], [0, 6, 2], [4, 0, -1]], 11) == 2
+
+
+def test_rank_mod_p_matches_exact_rank():
+    # entries in [-3, 3] and at most 6 rows: every minor is below
+    # (3 * sqrt(6))^6 < 2^31 - 1 by Hadamard, so the ranks agree
+    rng = random.Random(17)
+    for trial in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        if trial % 2:
+            rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        else:
+            # a product through k <= 3 dimensions: rank at most k
+            k = rng.randint(1, 3)
+            a = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(n)]
+            b = [[rng.randint(0, 1) for _ in range(m)] for _ in range(k)]
+            rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)]
+                    for r in a]
+        assert rank_mod_p(rows, 2_147_483_647) == rank(Matrix.from_rows(rows))

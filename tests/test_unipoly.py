@@ -78,3 +78,19 @@ def test_discriminant_quadratic():
 def test_squarefree_detection():
     assert UniPoly.from_roots([1, 2, 3]).is_squarefree()
     assert not (UniPoly.from_roots([1, 1, 2])).is_squarefree()
+
+
+def test_interpolate_matches_vandermonde_solve():
+    # the same coefficients as solving the Vandermonde system exactly
+    from cubicdescent.linalg import Matrix, solve_linear
+
+    rng = random.Random(6)
+    ts = [0, 1, -1, 2, -2, 3]
+    for _ in range(10):
+        vals = [Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for _ in ts]
+        vmat = Matrix.from_rows([[Fraction(t) ** k for k in range(6)]
+                                 for t in ts])
+        assert UniPoly.interpolate(ts, vals) == UniPoly(solve_linear(vmat, vals))
+    f = UniPoly([3, 0, -2, 1])
+    assert UniPoly.interpolate(ts, [f.evaluate(t) for t in ts]) == f
+    assert UniPoly.interpolate(ts, [0] * 6).is_zero()
