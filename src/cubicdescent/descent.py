@@ -113,17 +113,18 @@ class RadicandReport:
 
 
 def trace_gram(weight: AlgElement, l) -> Matrix:
-    """Matrix of trace(weight * c_j * c_k)."""
-    n = len(l)
-    prods = [[None] * n for _ in range(n)]
-    entries = []
-    for j in range(n):
-        for k in range(n):
-            if k < j:
-                entries.append(entries[k * n + j])
-                continue
-            entries.append((weight * l[j] * l[k]).trace())
-    return Matrix(n, n, entries)
+    """Matrix of trace(weight * c_j * c_k), as C^T H C: H[a][b] =
+    Tr(weight * r^(a+b)) = sum_i w_i s_(i+a+b) for the power sums s of the
+    algebra, and column j of C holds the coordinates of c_j."""
+    s = weight.algebra.power_sums
+    w = weight.coords()
+    hankel = [sum(wi * s[i + m] for i, wi in enumerate(w) if wi)
+              for m in range(2 * DEGREE - 1)]
+    h = Matrix(DEGREE, DEGREE, [hankel[a + b] for a in range(DEGREE)
+                                for b in range(DEGREE)])
+    cols = [cj.coords() for cj in l]
+    c = Matrix(DEGREE, len(l), [col[i] for i in range(DEGREE) for col in cols])
+    return c.transpose() @ h @ c
 
 
 def power_basis_form(algebra: EtaleAlgebra) -> tuple:
@@ -163,7 +164,8 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
     chi_m = m.charpoly_of()
     if not chi_m.is_squarefree():
         raise NonGeneratorError("-b/a does not generate the algebra")
-    rho = a ** 3 * m.different() * a.norm()
+    # chi_m is squarefree, so chi_m'(m) is the different of m
+    rho = a ** 3 * m.evaluate_poly(chi_m.derivative()) * a.norm()
     conj_poly = rho.charpoly_of()
 
     # Express rho as a polynomial psi in m, then evaluate psi at each
@@ -183,7 +185,7 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
         conj_poly=conj_poly,
         tritangent_poly=chi_m,
         entries=[],
-        norm_rho=rho.norm(),
+        norm_rho=-conj_poly[0],
         disc_tritangent=disc_m,
         splitting_element=rho * disc_m,
     )

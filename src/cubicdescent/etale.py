@@ -1,9 +1,11 @@
 """The quintic etale algebra A = Q[T]/(p) and its element arithmetic.
 
 p must be a monic squarefree quintic.  Elements are residue polynomials of
-degree < 5; traces, norms and characteristic polynomials come from the
-multiplication matrix in the power basis, so no embedding is ever computed
-numerically.
+degree < 5.  The trace is one linear functional: the algebra keeps the
+power sums s_k = Tr(r^k), read off p's coefficients by Newton's
+identities, and Tr(x) = sum_k x_k s_k.  Characteristic polynomials and
+norms follow from the traces of the powers of x by Newton's identities
+again, so no embedding is ever computed numerically.
 """
 
 from __future__ import annotations
@@ -11,16 +13,45 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonGeneratorError, NotEtaleError, ZeroDivisorError
-from .linalg import Matrix, charpoly, det
 from .unipoly import UniPoly
 
 DEGREE = 5
+#: power sums kept per algebra: trace forms Tr(w c_j c_k) on the power
+#: basis reach r^(3 * (DEGREE - 1))
+POWER_SUM_COUNT = 3 * (DEGREE - 1) + 1
+
+
+def _newton_power_sums(coeffs, count: int) -> list:
+    """s_0 .. s_(count-1), s_k the k-th power sum of the roots of the monic
+    polynomial with coefficients `coeffs` (lowest degree first)."""
+    n = len(coeffs) - 1
+    s = [Fraction(n)]
+    for k in range(1, count):
+        acc = k * coeffs[n - k] if k <= n else 0
+        for j in range(1, min(k - 1, n) + 1):
+            acc += coeffs[n - j] * s[k - j]
+        s.append(-acc)
+    return s
+
+
+def _newton_charpoly(traces) -> UniPoly:
+    """The monic polynomial of degree n = len(traces) whose roots have the
+    power sums traces[0] = s_1, ..., traces[n-1] = s_n; each division is by
+    some k <= n and exact in Fractions."""
+    n = len(traces)
+    c = [Fraction(1)]                    # c[j]: coefficient of T^(n-j)
+    for k in range(1, n + 1):
+        acc = traces[k - 1]
+        for j in range(1, k):
+            acc += c[j] * traces[k - j - 1]
+        c.append(-acc / k)
+    return UniPoly(c[::-1])
 
 
 class EtaleAlgebra:
     """Q[T]/(p) for a monic squarefree polynomial p of degree 5."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "power_sums")
 
     def __init__(self, p: UniPoly):
         if not isinstance(p, UniPoly):
@@ -32,6 +63,7 @@ class EtaleAlgebra:
         if not p.is_squarefree():
             raise NotEtaleError("defining polynomial must be squarefree")
         self.p = p
+        self.power_sums = tuple(_newton_power_sums(p.coeffs, POWER_SUM_COUNT))
 
     @classmethod
     def from_roots(cls, roots) -> "EtaleAlgebra":
@@ -165,24 +197,24 @@ class AlgElement:
     def is_unit(self) -> bool:
         return self.poly.gcd(self.algebra.p).degree == 0
 
-    def mul_matrix(self) -> Matrix:
-        """Matrix of multiplication by self in the power basis 1, r, ..., r^4."""
-        cols = []
-        p = self.algebra.p
-        for j in range(DEGREE):
-            col = (self.poly * UniPoly.monomial(j)) % p
-            cols.append([col[k] for k in range(DEGREE)])
-        return Matrix(DEGREE, DEGREE,
-                      [cols[j][i] for i in range(DEGREE) for j in range(DEGREE)])
-
     def trace(self) -> Fraction:
-        return self.mul_matrix().trace()
+        """sum_k x_k Tr(r^k)."""
+        return sum((c * s for c, s in zip(self.poly.coeffs,
+                                          self.algebra.power_sums)),
+                   Fraction(0))
 
     def norm(self) -> Fraction:
-        return det(self.mul_matrix())
+        """-chi(0): the product of the five conjugates."""
+        return -self.charpoly_of()[0]
 
     def charpoly_of(self) -> UniPoly:
-        return charpoly(self.mul_matrix())
+        """Newton's identities applied to Tr(x^k), k = 1..5."""
+        traces = [self.trace()]
+        power = self
+        for _ in range(DEGREE - 1):
+            power = power * self
+            traces.append(power.trace())
+        return _newton_charpoly(traces)
 
     def conjugate_data(self) -> UniPoly:
         """Characteristic polynomial; its roots are the images of self

@@ -316,11 +316,11 @@ def sample_frobenius(report: RadicandReport, prime_count: int = 40,
                     for a in distinct_anchored]
     elems = None
     if all(member_lists):
-        elems, _ = minimal_cover_subgroup(member_lists)
+        elems, chosen = minimal_cover_subgroup(member_lists)
     if elems is None:
         return SamplingReport(primes, classes, distinct_plain,
                               distinct_anchored, None, None)
-    lengths = orbits(elems)
+    lengths = orbits(chosen)            # chosen generates elems
     return SamplingReport(primes, classes, distinct_plain, distinct_anchored,
                           len(elems), lengths)
 

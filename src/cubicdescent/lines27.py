@@ -105,12 +105,20 @@ def anticanonical_check() -> bool:
 
 # ---------------------------------------------------------------------------
 # the group T x| S5
+#
+# Element k of full_group() is (EVEN_VECTORS[k % 16], PERMUTATIONS[k // 16]);
+# products go through three small tables built on first use.
+
+PERMUTATIONS = tuple(permutations(range(5)))
+_PERM_INDEX = {s: i for i, s in enumerate(PERMUTATIONS)}
+
 
 class GroupElt:
     """(t, sigma): t an even sign vector, sigma a permutation of 0..4
-    given as the tuple (sigma(0), ..., sigma(4))."""
+    given as the tuple (sigma(0), ..., sigma(4)); `index` is the element's
+    position in full_group()."""
 
-    __slots__ = ("t", "sigma")
+    __slots__ = ("t", "sigma", "index")
 
     def __init__(self, t, sigma):
         t = tuple(int(x) for x in t)
@@ -123,40 +131,28 @@ class GroupElt:
             raise ValueError("sigma must be a permutation of 0..4")
         self.t = t
         self.sigma = sigma
-
-    @classmethod
-    def _unchecked(cls, t: tuple, sigma: tuple) -> "GroupElt":
-        """An element from tuples already known to be valid (products and
-        inverses of valid elements), without the checks of __init__."""
-        g = object.__new__(cls)
-        g.t = t
-        g.sigma = sigma
-        return g
+        self.index = 16 * _PERM_INDEX[sigma] + _EVEN_INDEX[t]
 
     @classmethod
     def identity(cls):
-        return cls((1, 1, 1, 1, 1), (0, 1, 2, 3, 4))
+        return _tables()[0][0]
 
     def __mul__(self, other: "GroupElt") -> "GroupElt":
-        # (t, s) * (t', s'): apply other first, then self; the sign at
-        # s(k) is t[s(k)] * t'[k]
-        s, t = self.sigma, self.t
-        prod = [0] * 5
-        for k, x in enumerate(other.t):
-            prod[s[k]] = t[s[k]] * x
-        return GroupElt._unchecked(tuple(prod),
-                                   tuple(s[i] for i in other.sigma))
+        grp, perm_mul, perm_act, sign_mul = _tables()
+        a, e = divmod(self.index, 16)
+        b, f = divmod(other.index, 16)
+        return grp[perm_mul[a][b] + sign_mul[e][perm_act[a][f]]]
 
     def inv(self) -> "GroupElt":
         t = tuple(self.t[self.sigma[j]] for j in range(5))
-        return GroupElt._unchecked(t, _inv_perm(self.sigma))
+        return _tables()[0][16 * _PERM_INDEX[_inv_perm(self.sigma)]
+                            + _EVEN_INDEX[t]]
 
     def __eq__(self, other):
-        return isinstance(other, GroupElt) and self.t == other.t \
-            and self.sigma == other.sigma
+        return isinstance(other, GroupElt) and self.index == other.index
 
     def __hash__(self):
-        return hash((self.t, self.sigma))
+        return self.index
 
     def __repr__(self):
         return f"GroupElt(t={self.t}, sigma={self.sigma})"
@@ -192,16 +188,42 @@ def act_on_27(g: GroupElt) -> tuple:
 
 @cache
 def full_group() -> tuple:
-    """All 1920 elements (even sign vectors times S5), built once."""
-    return tuple(GroupElt(t, sigma) for sigma in permutations(range(5))
+    """All 1920 elements (even sign vectors times S5), built once; element
+    k has index k."""
+    return tuple(GroupElt(t, sigma) for sigma in PERMUTATIONS
                  for t in EVEN_VECTORS)
+
+
+@cache
+def _tables() -> tuple:
+    """(full_group(), perm_mul, perm_act, sign_mul), read by products,
+    inverses and closures without a further full_group() call.
+
+    perm_mul[a][b] is 16 times the index of sigma_a o sigma_b, perm_act[a][f]
+    the index of the sign vector k -> t_f[sigma_a^-1(k)], and sign_mul[e][f]
+    the index of t_e * t_f, so that (t_e, sigma_a) * (t_f, sigma_b) has
+    index perm_mul[a][b] + sign_mul[e][perm_act[a][f]]."""
+    perm_mul = [[16 * _PERM_INDEX[tuple(s[i] for i in s2)]
+                 for s2 in PERMUTATIONS] for s in PERMUTATIONS]
+    perm_act = []
+    for s in PERMUTATIONS:
+        row = []
+        for t in EVEN_VECTORS:
+            moved = [0] * 5
+            for k, x in enumerate(t):
+                moved[s[k]] = x
+            row.append(_EVEN_INDEX[tuple(moved)])
+        perm_act.append(row)
+    sign_mul = [[_EVEN_INDEX[tuple(x * y for x, y in zip(t, t2))]
+                 for t2 in EVEN_VECTORS] for t in EVEN_VECTORS]
+    return full_group(), perm_mul, perm_act, sign_mul
 
 
 def orbits(generators) -> list:
     """Sorted orbit-length multiset of the generated subgroup on the 27
-    labels."""
+    labels.  Each inverse is a power of its element, so images under the
+    generators alone reach the whole orbit."""
     perms = [act_on_27(g) for g in generators]
-    perms += [act_on_27(g.inv()) for g in generators]
     seen = [False] * N_LINES
     sizes = []
     for start in range(N_LINES):
@@ -228,25 +250,30 @@ def subgroup_closure(generators, cap: int | None = None) -> list | None:
     the order exceeds cap."""
     if cap is not None and cap < 1:
         return None
-    elems = {GroupElt.identity()}
-    frontier = list(elems)
+    limit = 1920 if cap is None else cap
+    grp, perm_mul, perm_act, sign_mul = _tables()
+    gens = [divmod(s.index, 16) for s in generators]
+    elems = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for g in frontier:
-            for s in generators:
-                h = g * s
+            a, e = divmod(g, 16)
+            mul_a, act_a, mul_e = perm_mul[a], perm_act[a], sign_mul[e]
+            for b, f in gens:
+                h = mul_a[b] + mul_e[act_a[f]]
                 if h not in elems:
                     elems.add(h)
                     nxt.append(h)
-                    if cap is not None and len(elems) > cap:
+                    if len(elems) > limit:
                         return None
         frontier = nxt
-    return list(elems)
+    return [grp[k] for k in elems]
 
 
 def class_members(cls: tuple) -> list:
     """All elements of T x| S5 with the given (length, sign) multiset."""
-    return [g for g in full_group() if g.frob_class() == cls]
+    return anchored_class_members((tuple(cls),), (5,))
 
 
 def _blocks_from_sizes(sizes) -> list:
@@ -284,9 +311,17 @@ def anchored_frob_data(g: GroupElt, blocks) -> tuple:
 def anchored_class_members(anchored: tuple, block_sizes) -> list:
     """Elements whose block-anchored cycle data matches `anchored`, the
     plane blocks being consecutive index ranges of the given sizes."""
+    return list(_anchored_index(tuple(block_sizes)).get(anchored, ()))
+
+
+@cache
+def _anchored_index(block_sizes: tuple) -> dict:
+    """Anchored cycle data -> its elements, in full_group() order."""
     blocks = _blocks_from_sizes(block_sizes)
-    return [g for g in full_group()
-            if anchored_frob_data(g, blocks) == anchored]
+    out = {}
+    for g in full_group():
+        out.setdefault(anchored_frob_data(g, blocks), []).append(g)
+    return out
 
 
 def class_representative(cls: tuple) -> GroupElt:

@@ -2,7 +2,7 @@
 
 import random
 
-from cubicdescent.lines27 import GroupElt, full_group, subgroup_closure
+from cubicdescent.lines27 import GroupElt, full_group, orbits, subgroup_closure
 
 CAP = 128
 
@@ -61,3 +61,10 @@ def test_cap_at_full_group():
             GroupElt((-1, -1, 1, 1, 1), (0, 1, 2, 3, 4))]
     assert set(subgroup_closure(gens, cap=1920)) == set(full_group())
     assert subgroup_closure(gens, cap=1919) is None
+
+
+def test_orbits_of_generators_match_closure():
+    """orbits follows the generators only; the closure holds every
+    inverse, so its orbits are the reference."""
+    for gens in _generator_sets(13, 30):
+        assert orbits(gens) == orbits(subgroup_closure(gens))

@@ -5,9 +5,40 @@ import pytest
 
 from cubicdescent.errors import (NonGeneratorError, NotEtaleError,
                                  ZeroDivisorError)
-from cubicdescent.etale import (EtaleAlgebra, from_split_values,
+from cubicdescent.descent import trace_gram
+from cubicdescent.etale import (DEGREE, EtaleAlgebra, from_split_values,
                                 split_idempotents)
+from cubicdescent.linalg import Matrix, charpoly, det
 from cubicdescent.unipoly import UniPoly
+
+from conftest import PAPER_P
+
+
+def mul_matrix(e) -> Matrix:
+    """Oracle: the matrix of multiplication by e in the power basis
+    1, r, ..., r^4."""
+    cols = []
+    for j in range(DEGREE):
+        col = (e.poly * UniPoly.monomial(j)) % e.algebra.p
+        cols.append([col[k] for k in range(DEGREE)])
+    return Matrix(DEGREE, DEGREE,
+                  [cols[j][i] for i in range(DEGREE) for j in range(DEGREE)])
+
+
+def random_quintics(seed, count):
+    """Seeded monic squarefree quintics with small integer coefficients."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = UniPoly([rng.randint(-20, 20) for _ in range(5)] + [1])
+        if p.is_squarefree():
+            out.append(p)
+    return out
+
+
+def random_element(A, rng):
+    return A.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      for _ in range(DEGREE)])
 
 
 def test_constructor_validation():
@@ -123,3 +154,34 @@ def test_idempotents():
             if i != j:
                 assert (e * f).is_zero()
     assert total == A.one()
+
+
+def test_trace_functional_matches_matrix_oracle():
+    split = EtaleAlgebra.from_roots([-2, -1, 0, 1, 2])
+    rng = random.Random(21)
+    cases = [(split, split.r * split.r)]        # a non-generator
+    for p in [PAPER_P] + random_quintics(22, 8):
+        A = EtaleAlgebra(p)
+        assert A.power_sums[:DEGREE] == tuple(
+            mul_matrix(A.element(UniPoly.monomial(k))).trace()
+            for k in range(DEGREE))
+        cases += [(A, A.zero()), (A, A.one()), (A, A.r)]
+        cases += [(A, random_element(A, rng)) for _ in range(4)]
+    for A, e in cases:
+        m = mul_matrix(e)
+        assert e.trace() == m.trace()
+        assert e.norm() == det(m)
+        assert e.charpoly_of() == charpoly(m)
+
+
+def test_trace_gram_matches_element_products():
+    rng = random.Random(23)
+    for p in [PAPER_P] + random_quintics(24, 3):
+        A = EtaleAlgebra(p)
+        w = random_element(A, rng)
+        l = [random_element(A, rng) for _ in range(DEGREE)]
+        g = trace_gram(w, l)
+        for j in range(DEGREE):
+            for k in range(DEGREE):
+                assert g[j, k] == (w * l[j] * l[k]).trace()
+                assert g[j, k] == mul_matrix(w * l[j] * l[k]).trace()

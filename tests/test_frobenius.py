@@ -150,3 +150,16 @@ def test_blowup_count_relation(paper_strategy, paper_cubic, paper_dp4):
         ns = count_points_cubic(paper_cubic.F, q)
         nv = count_points_dp4(paper_dp4, q)
         assert ns == nv + q
+
+
+def test_sampling_generic_quintic_order_384():
+    """A quintic outside the benchmark's list: the fit runs through the
+    backtracking in minimal_cover_subgroup to a subgroup of order 384."""
+    from cubicdescent.descent import run_strategy
+    from cubicdescent.unipoly import UniPoly
+
+    _, rep = run_strategy(UniPoly([3, 1, -2, 0, 1, 1]))
+    sr = sample_frobenius(rep)
+    assert sr.sample_count == 40
+    assert sr.subgroup_order == 384
+    assert sr.orbit_lengths == [1, 2, 8, 16]

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from cubicdescent.lines27 import (EVEN_VECTORS, LABELS, GroupElt,
                                   act_on_27, anchored_class_members,
@@ -115,3 +119,94 @@ def test_anchored_data():
 def test_minimal_cover_identity_only():
     elems, chosen = minimal_cover_subgroup([GroupElt.identity().frob_class()])
     assert len(elems) == 1 and chosen == [GroupElt.identity()]
+
+
+# ---------------------------------------------------------------------------
+# index-backed elements and the product tables
+
+
+def tuple_product(g, h):
+    """Oracle: (t, s) * (t', s') from the tuples, applying h first; the
+    sign at s(k) is t[s(k)] * t'[k]."""
+    s, t = g.sigma, g.t
+    prod = [0] * 5
+    for k, x in enumerate(h.t):
+        prod[s[k]] = t[s[k]] * x
+    return tuple(prod), tuple(s[i] for i in h.sigma)
+
+
+def compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def test_full_group_indices():
+    grp = full_group()
+    assert all(g.index == k for k, g in enumerate(grp))
+    assert GroupElt.identity().index == 0
+    # a constructed element equals its interned copy
+    g = GroupElt((-1, 1, -1, 1, 1), (1, 0, 2, 4, 3))
+    h = grp[g.index]
+    assert (h.t, h.sigma) == (g.t, g.sigma)
+    assert g == h and hash(g) == hash(h)
+
+
+def test_table_products_match_tuple_formula():
+    grp = full_group()
+    rng = random.Random(10)
+    for g in (grp[rng.randrange(1920)] for _ in range(200)):
+        for h in grp:
+            gh = g * h
+            assert (gh.t, gh.sigma) == tuple_product(g, h)
+            assert gh is grp[gh.index]
+
+
+def test_inverse_both_sides():
+    one = GroupElt.identity()
+    for g in full_group():
+        assert g * g.inv() == one and g.inv() * g == one
+
+
+def test_anchored_class_members_match_scan():
+    grp = full_group()
+    comps = list(compositions(5))
+    assert len(comps) == 16
+    for sizes in comps:
+        blocks = []
+        pos = 0
+        for n in sizes:
+            blocks.append(tuple(range(pos, pos + n)))
+            pos += n
+        data = [anchored_frob_data(g, blocks) for g in grp]
+        for datum in set(data) - {None}:
+            scan = [g for g, d in zip(grp, data) if d == datum]
+            assert anchored_class_members(datum, sizes) == scan
+    for cls in {g.frob_class() for g in grp}:
+        assert class_members(cls) == [g for g in grp if g.frob_class() == cls]
+
+
+def test_anchored_class_members_is_a_fresh_list():
+    cls = GroupElt.identity().frob_class()
+    first = anchored_class_members((cls,), (5,))
+    first.append(full_group()[5])
+    first.clear()
+    assert anchored_class_members((cls,), (5,)) == [GroupElt.identity()]
+
+
+def test_import_builds_no_table():
+    """The product tables and the group are built on first use: importing
+    the library leaves every cache empty."""
+    code = ("import cubicdescent.frobenius\n"
+            "from cubicdescent import lines27 as m\n"
+            "print(m.full_group.cache_info().currsize,"
+            " m._tables.cache_info().currsize,"
+            " m._anchored_index.cache_info().currsize)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["0", "0", "0"]
