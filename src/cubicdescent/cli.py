@@ -20,6 +20,7 @@ from .descent import DescentInput, build_quadrics, power_basis_form, \
     radicand_report, strategy_ab
 from .etale import EtaleAlgebra
 from .forms import ProjPoint, contains_line
+from .frobenius import sample_frobenius
 from .geometry import (CubicSurface, cubic_to_dp4, dp4_to_cubic, greedy_reduce,
                        tritangent_analysis, tritangent_square_product)
 from .ideals import smooth_cubic, smooth_dp4
@@ -176,8 +177,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_frobenius(args) -> int:
-    from .frobenius import sample_frobenius
-
     inp = _read_descent_input(args.input)
     report = radicand_report(inp)
     sampling = sample_frobenius(report, prime_count=args.primes,
@@ -272,8 +271,6 @@ def run_pipeline(config: dict, report: dict | None = None) -> dict:
     timings["tritangents_ms"] = round((time.monotonic() - t0) * 1000, 3)
 
     t0 = time.monotonic()
-    from .frobenius import sample_frobenius
-
     sampling = sample_frobenius(radicands,
                                 prime_count=int(primes_cfg.get("count", 40)),
                                 prime_bound=int(primes_cfg.get("bound", 500)))

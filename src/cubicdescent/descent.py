@@ -20,7 +20,7 @@ from functools import cached_property
 from .errors import (DegeneratePencilError, DependentFormsError,
                      NonGeneratorError, ZeroDivisorError)
 from .etale import DEGREE, AlgElement, EtaleAlgebra
-from .forms import BinaryQuintic, QuadForm, p1_normalize
+from .forms import BinaryQuintic, QuadForm, p1_normalize, pencil_determinant
 from .intfactor import is_perfect_square, squarefree_class
 from .linalg import Matrix, det, rank, solve_linear
 from .polyfactor import factor_unipoly
@@ -63,8 +63,6 @@ class DP4Surface:
             raise DegeneratePencilError("quadrics do not span a 2-dimensional pencil")
 
     def pencil_quintic(self) -> BinaryQuintic:
-        from .forms import pencil_determinant
-
         return pencil_determinant(self.Q0, self.Q1)
 
     def evaluate(self, point):

@@ -13,6 +13,7 @@ from math import gcd, lcm
 
 from .errors import PreconditionError, ZeroPolynomialError
 from .linalg import Matrix, det, nullspace, rank
+from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
 
@@ -462,8 +463,6 @@ class BinaryQuintic:
 
         Multiplicity is exact; non-rational factors are ignored here.
         """
-        from .polyfactor import factor_unipoly
-
         if self.is_zero():
             raise ZeroPolynomialError("identically zero binary form")
         roots = []

@@ -2,9 +2,10 @@
 conjugacy-class sampling for descent-built surfaces.
 
 The class of Frobenius at a good odd prime q is read off the
-factorization mod q of each rational irreducible factor of the quintic
-(cycle type, per block of tritangent planes) plus Euler square tests of
-the splitting element in the residue fields (cycle signs).  The
+distinct-degree parts mod q of each rational irreducible factor of the
+quintic (cycle type, per block of tritangent planes) plus one gcd per part
+that counts the residue fields in which the splitting element is a square
+(cycle signs); no part is split into its irreducible factors.  The
 splitting element is the discriminant-adjusted radicand class from the
 descent report; its total sign is +1 at every good prime, matching the
 even-sign group that acts on the lines.
@@ -25,7 +26,8 @@ import numpy as np
 from .descent import RadicandReport
 from .errors import BadPrimeError, BudgetExceededError
 from .forms import CubicForm4
-from .gfpoly import gp_factor_squarefree, gp_is_squarefree, gp_pow_mod, gp_rem
+from .gfpoly import (gp_distinct_degree, gp_gcd, gp_is_squarefree, gp_pow_mod,
+                     gp_sub)
 from .intfactor import primes_up_to
 from .lines27 import (GroupElt, anchored_class_members, class_representative,
                       minimal_cover_subgroup, orbits, pic_trace_of_class)
@@ -232,18 +234,14 @@ def frobenius_class(report: RadicandReport, q: int) -> FrobClass:
     return FrobClass.from_blocks(frobenius_class_anchored(report, q)[1])
 
 
-def _euler_square(elt, modulus, q: int) -> bool:
-    """Euler criterion in F_q[T]/(modulus) for irreducible modulus."""
-    d = len(modulus) - 1
-    e = (q ** d - 1) // 2
-    return gp_pow_mod(elt, e, modulus, q) == [1]
-
-
 def frobenius_class_anchored(report: RadicandReport, q: int):
     """Cycle/sign data anchored to the rational irreducible factors of
     the quintic (each factor is a Galois orbit of tritangent planes):
-    factor each one mod q for the cycle lengths, and Euler-test the
-    splitting element in each residue field for the cycle signs.
+    the distinct-degree parts of each factor mod q give the cycle
+    lengths, and one gcd per part the cycle signs.  An irreducible factor
+    of degree d of a part g is a + cycle when the splitting element e is
+    a square in its residue field, i.e. divides e^((q^d - 1)/2) - 1; so
+    the part has deg gcd(e^((q^d - 1)/2) - 1, g) / d + cycles.
 
     Returns (block_sizes, per-block parts) in the canonical factor order
     of factor_unipoly."""
@@ -260,12 +258,12 @@ def frobenius_class_anchored(report: RadicandReport, q: int):
         if not gp_is_squarefree(fq, q):
             raise BadPrimeError(f"factor not squarefree mod {q}")
         parts = []
-        for f in gp_factor_squarefree(fq, q):
-            img = gp_rem(list(elt_poly), f, q)
-            if not img:
+        for g, d in gp_distinct_degree(fq, q):
+            if len(gp_gcd(elt_poly, g, q)) > 1:
                 raise BadPrimeError(f"splitting element vanishes mod {q}")
-            sign = 1 if _euler_square(img, f, q) else -1
-            parts.append((len(f) - 1, sign))
+            power = gp_pow_mod(elt_poly, (q ** d - 1) // 2, g, q)
+            plus = (len(gp_gcd(gp_sub(power, [1], q), g, q)) - 1) // d
+            parts += [(d, -1)] * ((len(g) - 1) // d - plus) + [(d, 1)] * plus
         blocks.append(tuple(sorted(parts)))
     return tuple(block_sizes), tuple(blocks)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .descent import DP4Surface
 from .errors import (DegeneratePencilError, DegenerateSurfaceError,
@@ -22,7 +23,7 @@ from .errors import (DegeneratePencilError, DegenerateSurfaceError,
                      PreconditionError)
 from .forms import (CubicForm4, LinForm, ProjLine, ProjPoint, QuadForm,
                     congruence_diagonal, contains_line, monomials_deg3,
-                    pencil_determinant)
+                    p1_normalize, pencil_determinant)
 from .intfactor import squarefree_class
 from .linalg import Matrix, det, inverse, nullspace, rank, solve_linear
 from .polyfactor import factor_unipoly
@@ -343,7 +344,6 @@ def tritangent_analysis(V: DP4Surface) -> list:
         for f, mult in factors:
             if f.degree == 1:
                 t = -f[0]
-                from .forms import p1_normalize
                 lam, mu = p1_normalize(t, 1)
                 entries.append(make_rational_entry(lam, mu, mult))
             else:
@@ -392,6 +392,7 @@ def tritangent_square_product(entries) -> int | None:
 # +-1 at one off-diagonal entry.  Permutations and sign flips of the
 # variables leave the objective unchanged, so a strict-improvement scan
 # could never accept one.
+@cache
 def _reduce_generators():
     gens = []
     for i in range(4):
@@ -402,10 +403,7 @@ def _reduce_generators():
                 rows = [[int(a == b) for b in range(4)] for a in range(4)]
                 rows[i][j] = s
                 gens.append(Matrix.from_rows(rows))
-    return gens
-
-
-_REDUCE_GENS = None
+    return tuple(gens)
 
 
 def _objective(F: CubicForm4):
@@ -422,9 +420,6 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
 
     The cumulative change matrix is recorded in the provenance so the
     input can be reproduced exactly."""
-    global _REDUCE_GENS
-    if _REDUCE_GENS is None:
-        _REDUCE_GENS = _reduce_generators()
     _, ints = S.F.primitive_coeffs()
     current = CubicForm4(ints)
     total = Matrix.identity(4)
@@ -432,7 +427,7 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
     improved = True
     while improved:
         improved = False
-        for g in _REDUCE_GENS:
+        for g in _reduce_generators():
             cand = current.substitute(g)
             val = _objective(cand)
             if val < best:

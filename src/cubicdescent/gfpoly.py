@@ -1,9 +1,12 @@
-"""Polynomial arithmetic over prime fields.
+"""Polynomial arithmetic modulo an integer.
 
-Polynomials over F_p are lists of ints in [0, p), lowest degree first,
-with no trailing zeros ([] is the zero polynomial).  The kernels serve the
-Zassenhaus factoriser over Q (polyfactor) and the Frobenius reading of
-each rational factor of the quintic mod q (frobenius).
+Polynomials mod m are lists of ints in [0, m), lowest degree first, with
+no trailing zeros ([] is the zero polynomial).  The ring kernels take any
+modulus in which every leading coefficient they divide by is a unit (a
+non-unit raises ValueError): over F_p they serve the distinct-degree and
+Cantor-Zassenhaus splits, over Z/p^k the Hensel lift of the Zassenhaus
+factoriser over Q (polyfactor).  The Frobenius reading of each rational
+factor of the quintic mod q (frobenius) uses the distinct-degree parts.
 """
 
 from __future__ import annotations
@@ -17,14 +20,17 @@ def gp_trim(f):
     return f
 
 
-def gp_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
+def gp_add(f, g, p):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
     for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return gp_trim(out)
+        out[i] += c
+    return gp_trim([c % p for c in out])
+
+
+def gp_sub(f, g, p):
+    return gp_add(f, [-c for c in g], p)
 
 
 def gp_mul(f, g, p):
@@ -50,7 +56,7 @@ def gp_divmod(f, g, p):
     dg = len(g) - 1
     if len(f) - 1 < dg:
         return [], gp_trim(f)
-    inv = pow(g[-1], p - 2, p)
+    inv = pow(g[-1], -1, p)
     quo = [0] * (len(f) - dg)
     for k in range(len(f) - 1 - dg, -1, -1):
         c = f[dg + k] * inv % p
@@ -68,13 +74,30 @@ def gp_rem(f, g, p):
 def gp_monic(f, p):
     if not f:
         return []
-    return gp_scale(f, pow(f[-1], p - 2, p), p)
+    return gp_scale(f, pow(f[-1], -1, p), p)
 
 
 def gp_gcd(f, g, p):
     while g:
         f, g = g, gp_rem(f, g, p)
     return gp_monic(f, p)
+
+
+def gp_xgcd(f, g, p):
+    """s, t with s*f + t*g = 1 mod p, deg s < deg g, deg t < deg f, for f
+    and g of degree >= 1 that are coprime mod the prime p."""
+    r0, r1 = f, g
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = gp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, gp_sub(s0, gp_mul(q, s1, p), p)
+        t0, t1 = t1, gp_sub(t0, gp_mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise ValueError(f"polynomials not coprime mod {p}")
+    inv = pow(r0[0], -1, p)
+    return gp_scale(s0, inv, p), gp_scale(t0, inv, p)
 
 
 def gp_pow_mod(f, e, g, p):
@@ -150,9 +173,9 @@ def gp_equal_degree(f, d, p, rng):
             return left + right
 
 
-def gp_factor_squarefree(f, p, seed=0):
+def gp_factor_squarefree(f, p):
     """Irreducible monic factors of monic squarefree f over F_p (odd p)."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors = []
     for g, d in gp_distinct_degree(gp_monic(f, p), p):
         factors.extend(gp_equal_degree(g, d, p, rng))

@@ -192,21 +192,3 @@ def primes_up_to(n: int) -> list:
             sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
     return [i for i in range(2, n + 1) if sieve[i]]
 
-
-def iter_primes():
-    """Unbounded prime iterator (incremental trial division)."""
-    yield 2
-    found = [2]
-    n = 3
-    while True:
-        isp = True
-        for p in found:
-            if p * p > n:
-                break
-            if n % p == 0:
-                isp = False
-                break
-        if isp:
-            found.append(n)
-            yield n
-        n += 2

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NonSquareMatrixError, SingularMatrixError
+from .unipoly import UniPoly
 
 
 def _frac(x) -> Fraction:
@@ -236,8 +237,6 @@ def charpoly(m: Matrix):
 
     Faddeev-LeVerrier recursion; divisions by 1..n are exact over Q.
     """
-    from .unipoly import UniPoly
-
     if m.rows != m.cols:
         raise NonSquareMatrixError("charpoly of non-square matrix")
     n = m.rows

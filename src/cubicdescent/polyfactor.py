@@ -1,8 +1,10 @@
 """Factorization of univariate polynomials over Q, up to degree 8.
 
 Pipeline: Yun squarefree decomposition, then per squarefree part a
-Zassenhaus round: factor mod a good odd prime, Hensel lift past the
-Mignotte bound, and recombine factors by subset search.  Every factor,
+Zassenhaus round: factor mod the least good odd prime p, Hensel lift to
+p^L past the Mignotte bound, and recombine factors by subset search.  All
+arithmetic mod p and mod p^L is gfpoly's; only the trial division of a
+recombined factor is done over Z.  Every factor,
 linear ones included, comes out of that one path; rational roots are read
 off the linear factors.  Degrees are capped at 8, so subset recombination
 never exceeds 2^8 trials.
@@ -10,12 +12,13 @@ never exceeds 2^8 trials.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd, isqrt
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .gfpoly import gp_factor_squarefree, gp_from_int_poly, gp_is_squarefree
-from .intfactor import iter_primes
+from .gfpoly import (gp_add, gp_divmod, gp_factor_squarefree, gp_from_int_poly,
+                     gp_is_squarefree, gp_monic, gp_mul, gp_sub, gp_xgcd)
+from .intfactor import is_probable_prime
 from .unipoly import UniPoly
 
 MAX_DEGREE = 8
@@ -97,15 +100,12 @@ def _factor_squarefree(f: UniPoly) -> list:
 
 
 def _choose_prime(c: list) -> int:
-    for p in iter_primes():
-        if p == 2:
+    """The least odd prime p not dividing lc(c) with c squarefree mod p."""
+    for p in count(3, 2):
+        if not is_probable_prime(p) or c[-1] % p == 0:
             continue
-        if c[-1] % p == 0:
-            continue
-        fp = gp_from_int_poly(c, p)
-        if len(fp) - 1 == len(c) - 1 and gp_is_squarefree(fp, p):
+        if gp_is_squarefree(gp_from_int_poly(c, p), p):
             return p
-    raise AssertionError("unreachable")
 
 
 def _mignotte_bound(c: list) -> int:
@@ -120,24 +120,6 @@ def _sym_rem(v: int, m: int) -> int:
     if v > m // 2:
         v -= m
     return v
-
-
-def _trunc(c: list, m: int) -> list:
-    out = [_sym_rem(v, m) for v in c]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _int_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _int_divmod(a: list, b: list):
@@ -165,48 +147,17 @@ def _hensel_step(m, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to modulus m^2.
 
     Requires lc(h) = 1 and deg f = deg g + deg h.  Classic quadratic
-    Hensel step in Z[x].
+    Hensel step, in Z/m^2.
     """
     mm = m * m
-
-    def mul(a, b):
-        return _trunc(_int_mul(a, b), mm)
-
-    def add(a, b):
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, x in enumerate(a):
-            out[i] += x
-        for i, x in enumerate(b):
-            out[i] += x
-        return _trunc(out, mm)
-
-    def sub(a, b):
-        return add(a, [-x for x in b])
-
-    def divmod_monic(a, b):
-        a = list(a)
-        db = len(b) - 1
-        if len(a) - 1 < db:
-            return [], _trunc(a, mm)
-        quo = [0] * (len(a) - db)
-        for k in range(len(a) - 1 - db, -1, -1):
-            c = a[db + k] % mm
-            quo[k] = c
-            if c:
-                for j, y in enumerate(b):
-                    a[j + k] = (a[j + k] - c * y) % mm
-        return _trunc(quo, mm), _trunc(a, mm)
-
-    e = sub(f, _int_mul(g, h))
-    q, r = divmod_monic(mul(s, e), h)
-    gg = add(g, add(mul(t, e), mul(q, g)))
-    hh = add(h, r)
-
-    b = sub(add(mul(s, gg), mul(t, hh)), [1])
-    c, d = divmod_monic(mul(s, b), hh)
-    ss = sub(s, d)
-    tt = sub(t, add(mul(t, b), mul(c, gg)))
+    e = gp_sub(f, gp_mul(g, h, mm), mm)
+    q, r = gp_divmod(gp_mul(s, e, mm), h, mm)
+    gg = gp_add(g, gp_add(gp_mul(t, e, mm), gp_mul(q, g, mm), mm), mm)
+    hh = gp_add(h, r, mm)
+    b = gp_sub(gp_add(gp_mul(s, gg, mm), gp_mul(t, hh, mm), mm), [1], mm)
+    c, d = gp_divmod(gp_mul(s, b, mm), hh, mm)
+    ss = gp_sub(s, d, mm)
+    tt = gp_sub(t, gp_add(gp_mul(t, b, mm), gp_mul(c, gg, mm), mm), mm)
     return gg, hh, ss, tt
 
 
@@ -215,45 +166,20 @@ def _hensel_lift_sub(p, f, fk, m):
     m = p^L: split fk in halves, lift the two products, recurse."""
     r = len(fk)
     if r == 1:
-        inv = pow(f[-1] % m, -1, m)
-        return [_trunc([v * inv for v in f], m)]
+        return [gp_monic(f, m)]
     k = r // 2
     g = [f[-1] % p]
     for q in fk[:k]:
-        g = _trunc(_int_mul(g, q), p)
+        g = gp_mul(g, q, p)
     h = [1]
     for q in fk[k:]:
-        h = _trunc(_int_mul(h, q), p)
-    s, t = _gp_xgcd_int(g, h, p)
+        h = gp_mul(h, q, p)
+    s, t = gp_xgcd(g, h, p)
     mm = p
     while mm < m:
         g, h, s, t = _hensel_step(mm, f, g, h, s, t)
         mm = mm * mm
     return _hensel_lift_sub(p, g, fk[:k], m) + _hensel_lift_sub(p, h, fk[k:], m)
-
-
-def _gp_xgcd_int(g, h, p):
-    """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g."""
-    from .gfpoly import gp_divmod, gp_mul, gp_rem, gp_scale, gp_sub
-
-    r0, r1 = gp_from_int_poly(g, p), gp_from_int_poly(h, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = gp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, gp_sub(s0, gp_mul(q, s1, p), p)
-        t0, t1 = t1, gp_sub(t0, gp_mul(q, t1, p), p)
-    assert len(r0) == 1, "factors not coprime mod p"
-    inv = pow(r0[0], p - 2, p)
-    s = gp_scale(s0, inv, p)
-    t = gp_scale(t0, inv, p)
-    # enforce degree constraints
-    hq = gp_from_int_poly(h, p)
-    gq = gp_from_int_poly(g, p)
-    s = gp_rem(s, hq, p)
-    t = gp_rem(t, gq, p)
-    return [int(v) for v in s], [int(v) for v in t]
 
 
 def _zassenhaus(c: list) -> list:
@@ -286,8 +212,8 @@ def _zassenhaus(c: list) -> list:
             for subset in combinations(remaining, size):
                 trial = [current[-1] % m]
                 for i in subset:
-                    trial = _trunc(_int_mul(trial, lifted[i]), m)
-                trial = _primitive_int(trial)
+                    trial = gp_mul(trial, lifted[i], m)
+                trial = _primitive_int([_sym_rem(v, m) for v in trial])
                 dv = _int_divmod(current, trial)
                 if dv is not None and not dv[1]:
                     result.append(trial)

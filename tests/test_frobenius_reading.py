@@ -1,38 +1,47 @@
 """One reading per prime: the plain Frobenius class is the union of the
-block-anchored parts, and the per-report values are computed once."""
+block-anchored parts, the per-report values are computed once, and the
+reading makes no random split."""
 
 import pytest
 
-from cubicdescent import descent, polyfactor
+from cubicdescent import descent, gfpoly, polyfactor
 from cubicdescent.descent import run_strategy
-from cubicdescent.frobenius import (_euler_square, _reduce_fraction,
-                                    frobenius_class, frobenius_class_anchored,
-                                    good_prime, sample_frobenius)
-from cubicdescent.gfpoly import gp_factor_squarefree, gp_rem
+from cubicdescent.frobenius import (_reduce_fraction, frobenius_class,
+                                    frobenius_class_anchored, good_prime,
+                                    sample_frobenius)
+from cubicdescent.gfpoly import gp_factor_squarefree, gp_pow_mod
 from cubicdescent.intfactor import primes_up_to
 from cubicdescent.unipoly import UniPoly
 
 from conftest import PAPER_P
 
-# the worked quintic and two quintics of fitted order 32 and 96
-QUINTICS = [PAPER_P, UniPoly([36, 3, -3, -4, -3, 1]),
-            UniPoly([20, -5, -1, 20, 9, 1])]
+# the seven galois-fit quintics of perfbench, named by fitted order
+FITS = {
+    "paper": PAPER_P,
+    "order32": UniPoly([36, 3, -3, -4, -3, 1]),
+    "order64": UniPoly([-40, 6, 40, 29, 9, 1]),
+    "order48a": UniPoly([12, 11, 58, -18, -4, 1]),
+    "order48b": UniPoly([-50, 65, -56, 34, -10, 1]),
+    "order48c": UniPoly([-2, 2, -2, 3, 0, 1]),
+    "order96": UniPoly([20, -5, -1, 20, 9, 1]),
+}
+QUINTICS = list(FITS.values())
 
 
 def whole_quintic_class(rep, q):
     """Oracle: factor the whole quintic mod q and Euler-test the splitting
-    element in each residue field."""
+    element in each residue field F_q[T]/(f)."""
     pq = [_reduce_fraction(c, q) for c in rep.tritangent_poly.coeffs]
     elt = [_reduce_fraction(c, q) for c in rep.splitting_element.poly.coeffs]
     parts = []
     for f in gp_factor_squarefree(pq, q):
-        sign = 1 if _euler_square(gp_rem(list(elt), f, q), f, q) else -1
-        parts.append((len(f) - 1, sign))
+        d = len(f) - 1
+        sign = 1 if gp_pow_mod(elt, (q ** d - 1) // 2, f, q) == [1] else -1
+        parts.append((d, sign))
     return tuple(sorted(parts))
 
 
-@pytest.mark.parametrize("quintic", QUINTICS,
-                         ids=["paper", "order32", "order96"])
+@pytest.mark.parametrize("quintic", QUINTICS, ids=list(FITS))
 def test_plain_class_is_union_of_blocks(quintic):
     _, rep = run_strategy(quintic)
     degrees = tuple(f.degree for f, _ in rep.rational_factors)
@@ -82,3 +91,15 @@ def test_report_values_computed_once(monkeypatch):
     sr = sample_frobenius(rep, prime_count=20, prime_bound=200)
     assert sr.sample_count == 20
     assert calls == {"factor": 0, "disc": 0, "norm": 1}
+
+
+def test_reading_makes_no_random_split(monkeypatch):
+    _, rep = run_strategy(PAPER_P)
+
+    def refuse(*args):
+        raise AssertionError("equal-degree split in the Frobenius reading")
+
+    monkeypatch.setattr(gfpoly, "gp_equal_degree", refuse)
+    sr = sample_frobenius(rep)
+    assert sr.subgroup_order == 16
+    assert sr.orbit_lengths == [1, 2, 4, 4, 16]
