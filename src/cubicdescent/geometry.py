@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from .descent import DP4Surface
 from .errors import (DegeneratePencilError, DegenerateSurfaceError,
@@ -388,29 +389,49 @@ def tritangent_square_product(entries) -> int | None:
     return squarefree_class(acc)
 
 
-# Generators for the reducer: the elementary shears, the identity plus
-# +-1 at one off-diagonal entry.  Permutations and sign flips of the
-# variables leave the objective unchanged, so a strict-improvement scan
-# could never accept one.
+# The reducer's moves: the elementary shears x_i -> x_i + s*x_j (i != j,
+# s = +-1), in scan order.  Permutations and sign flips of the variables
+# leave the objective unchanged, so a strict-improvement scan could never
+# accept one.
+SHEARS = tuple((i, j, s) for i in range(4) for j in range(4) if i != j
+               for s in (1, -1))
+
+
 @cache
-def _reduce_generators():
-    gens = []
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            for s in (1, -1):
-                rows = [[int(a == b) for b in range(4)] for a in range(4)]
-                rows[i][j] = s
-                gens.append(Matrix.from_rows(rows))
-    return tuple(gens)
+def _shear_terms() -> tuple:
+    """For each move of SHEARS, the (source, target, factor) terms it adds
+    to a coefficient vector over monomials_deg3(): by the binomial theorem,
+    x^e gains C(e_i, m) * s^m * x^(e - m*u_i + m*u_j) for 1 <= m <= e_i."""
+    monos = monomials_deg3()
+    index = {e: k for k, e in enumerate(monos)}
+    table = []
+    for i, j, s in SHEARS:
+        terms = []
+        for src, e in enumerate(monos):
+            for m in range(1, e[i] + 1):
+                f = list(e)
+                f[i] -= m
+                f[j] += m
+                terms.append((src, index[tuple(f)], comb(e[i], m) * s ** m))
+        table.append(tuple(terms))
+    return tuple(table)
+
+
+def _shear(vec: list, terms) -> list:
+    """The integer coefficient vector of a cubic after one shear."""
+    out = list(vec)
+    for src, dst, f in terms:
+        out[dst] += f * vec[src]
+    return out
+
+
+def _size(values):
+    return (max(abs(v) for v in values), sum(v * v for v in values))
 
 
 def _objective(F: CubicForm4):
     _, ints = F.primitive_coeffs()
-    mx = max(abs(v) for v in ints.values())
-    ss = sum(v * v for v in ints.values())
-    return (mx, ss)
+    return _size(ints.values())
 
 
 def greedy_reduce(S: CubicSurface) -> CubicSurface:
@@ -418,30 +439,34 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
     it strictly lowers (max |coefficient|, sum of squares); deterministic
     first-improvement scan; stops at a local minimum.
 
-    The cumulative change matrix is recorded in the provenance so the
-    input can be reproduced exactly."""
+    The moves act on the primitive integer coefficients directly: a shear
+    is unimodular, so the coefficients stay primitive and the objective
+    needs no content.  The cumulative change matrix is recorded in the
+    provenance so the input can be reproduced exactly."""
     _, ints = S.F.primitive_coeffs()
-    current = CubicForm4(ints)
-    total = Matrix.identity(4)
-    best = _objective(current)
+    monos = monomials_deg3()
+    vec = [ints.get(e, 0) for e in monos]
+    total = [[int(a == b) for b in range(4)] for a in range(4)]
+    best = _size(vec)
     improved = True
     while improved:
         improved = False
-        for g in _reduce_generators():
-            cand = current.substitute(g)
-            val = _objective(cand)
+        for (i, j, s), terms in zip(SHEARS, _shear_terms()):
+            cand = _shear(vec, terms)
+            val = _size(cand)
             if val < best:
-                _, ci = cand.primitive_coeffs()
-                current = CubicForm4(ci)
-                total = total @ g
-                best = val
-                improved = True
+                vec, best, improved = cand, val, True
+                # total <- total @ (I + s*E_ij): column j gains s * column i
+                for row in total:
+                    row[j] += s * row[i]
                 break
+    _, ints = CubicForm4(dict(zip(monos, vec))).primitive_coeffs()
+    change = Matrix.from_rows(total)
     line = None
     if S.known_line is not None:
-        uinv = inverse(total)
+        uinv = inverse(change)
         p, q = S.known_line.points
         line = ProjLine.from_points(ProjPoint(uinv.mul_vec(p.coords)),
                                     ProjPoint(uinv.mul_vec(q.coords)))
-    return CubicSurface(current, known_line=line,
-                        provenance={"reduced_from": S, "change": total})
+    return CubicSurface(CubicForm4(ints), known_line=line,
+                        provenance={"reduced_from": S, "change": change})

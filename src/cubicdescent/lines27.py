@@ -388,25 +388,36 @@ def minimal_cover_subgroup(classes, cap: int = 1920):
     return sorted(best_elems, key=lambda g: (g.sigma, g.t)), best_chosen
 
 
+#: seven line classes that span Pic x Q
+_SPAN_LABELS = (("L0",)
+                + tuple(eps for eps in EVEN_VECTORS if eps.count(-1) == 4)
+                + ((1, 1, 1, 1, 1),))
+
+
+@cache
+def _span_inverse() -> Matrix:
+    """Inverse of the matrix whose columns are the spanning classes."""
+    return inverse(_span_images(tuple(range(N_LINES))))
+
+
+def _span_images(perm: tuple) -> Matrix:
+    """The matrix whose columns are the images of the spanning classes."""
+    return Matrix(7, 7, [Fraction(PIC_VECTORS[perm[LABEL_INDEX[lab]]][i])
+                         for i in range(7) for lab in _SPAN_LABELS])
+
+
 def pic_matrix_of(perm: tuple) -> Matrix:
     """Linear map induced on Pic x Q by a permutation of the 27 lines,
     solved from seven spanning line classes."""
-    span_labels = (["L0"]
-                   + [eps for eps in EVEN_VECTORS if eps.count(-1) == 4]
-                   + [(1, 1, 1, 1, 1)])
-    idxs = [LABEL_INDEX[lab] for lab in span_labels]
-    b = Matrix(7, 7, [Fraction(PIC_VECTORS[idx][i])
-                      for i in range(7) for idx in idxs])
-    bp = Matrix(7, 7, [Fraction(PIC_VECTORS[perm[idx]][i])
-                       for i in range(7) for idx in idxs])
-    return bp @ inverse(b)
+    return _span_images(perm) @ _span_inverse()
 
 
 def pic_trace_of_class(cls: tuple) -> int:
-    """Trace of the Picard action of any element in the class."""
-    g = class_representative(cls)
-    m = pic_matrix_of(act_on_27(g))
-    tr = m.trace()
+    """Trace of the Picard action of any element in the class: the trace
+    of pic_matrix_of, from the diagonal entries of the product only."""
+    bp = _span_images(act_on_27(class_representative(cls)))
+    binv = _span_inverse()
+    tr = sum(bp[i, k] * binv[k, i] for i in range(7) for k in range(7))
     assert tr.denominator == 1
     return int(tr)
 

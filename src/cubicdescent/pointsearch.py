@@ -4,12 +4,18 @@ Height convention: max absolute coordinate of the primitive integer
 representative.  The kernel is a residue sieve with an exact finish.  For
 each prime ell in SIEVE_PRIMES a table over residues mod ell records which
 (x0, x1, x2, x3) mod ell extend to a common zero of both quadrics mod ell.
-Stage 1 masks the (x1, x2) grid of each x0 (sign-normalized) with the
-tables projected to three coordinates; stage 2 masks the x3 row of every
-surviving triple with the full tables.  Each surviving 4-tuple is solved
-for x4 as a conic in plain Python integers and every root is re-verified
-on both quadrics.  Only residues below ell enter numpy, so no coefficient
-size can overflow it.
+Once per call the tables are read at the residues of the searched
+coordinates -H..H and packed into bit rows of 2H + 1 cells (np.packbits,
+zero padding to whole bytes): the x3 row of each (a0, a1, a2) in the full
+table and the x2 row of each (a0, a1) in the table projected to three
+coordinates.  Stage 1 ANDs the x2 rows of every x1 for each x0
+(sign-normalized); stage 2 ANDs the x3 rows of every surviving triple,
+the triple (0, 0, 0) included, so points (0 : 0 : 0 : x3 : x4) need no
+loop of their own.  Only rows with a bit left are unpacked.  Each
+surviving 4-tuple is solved for x4 as a conic in plain Python integers
+and every root other than the zero tuple is re-verified on both
+quadrics.  Only residues below ell and bits enter numpy, so no
+coefficient size can overflow it.
 """
 
 from __future__ import annotations
@@ -170,53 +176,60 @@ def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
     sq = c0[4, 4]
     lin = [c0[j, 4] for j in range(4)]
     rest = [(i, j, c) for (i, j), c in c0.items() if j < 4 and c]
+    width = 2 * H + 1
     coords = np.arange(-H, H + 1)
     sieve = []
     for ell in SIEVE_PRIMES:
         t4 = _residue_table(c0, c1, ell)
-        sieve.append((ell, t4, t4.any(axis=3), coords % ell))
+        res = coords % ell
+        # bit rows over the searched coordinates: the x3 row of each
+        # (a0, a1, a2) in T4 and the x2 row of each (a0, a1) in T3
+        sieve.append((ell, res,
+                      np.packbits(t4[..., res], axis=-1),
+                      np.packbits(t4.any(axis=3)[..., res], axis=-1)))
+    # sign normalization at x0 = 0: x1 >= 0, and x2 >= 0 when x1 = 0
+    nonneg = np.packbits(coords >= 0)
     # stage 2 runs on blocks of at most 2**20 (x1, x2, x3) cells
-    block = max(1, (1 << 20) // (2 * H + 1))
+    block = max(1, (1 << 20) // width)
     found: set = set()
+
+    def live_cells(rows):
+        """(row, column) of every set bit, unpacking only live rows."""
+        live = np.flatnonzero(rows.any(axis=1))
+        k, col = np.nonzero(np.unpackbits(rows[live], axis=1, count=width))
+        return live[k], col
 
     lo, hi = (0, H) if x0_range is None else x0_range
     lo = max(lo, 0)
     for x0 in range(lo, hi + 1):
-        # stage 1: the (x1, x2) grid against every T3[x0 mod ell]
-        pairs = np.ones((2 * H + 1, 2 * H + 1), dtype=bool)
-        for ell, _, t3, res in sieve:
-            pairs &= t3[x0 % ell][np.ix_(res, res)]
+        # stage 1: the x2 rows of every x1 against T3[x0 mod ell]
+        rows = None
+        for ell, res, _, x2rows in sieve:
+            r = x2rows[x0 % ell][res]
+            rows = r if rows is None else rows & r
         if x0 == 0:
-            # sign normalization: x1 >= 0, and x2 > 0 when x1 = 0
-            pairs[:H] = False
-            pairs[H, :H + 1] = False
-        i1, i2 = np.nonzero(pairs)
+            rows[:H] = 0
+            rows[H] &= nonneg
+        i1, i2 = live_cells(rows)
         # stage 2: the x3 row of each surviving triple against T4
         for s in range(0, len(i1), block):
             j1, j2 = i1[s:s + block], i2[s:s + block]
-            cells = np.ones((len(j1), 2 * H + 1), dtype=bool)
-            for ell, t4, _, res in sieve:
-                cells &= t4[x0 % ell][res[j1], res[j2]][:, res]
+            cells = None
+            for ell, res, x3rows, _ in sieve:
+                r = x3rows[x0 % ell][res[j1], res[j2]]
+                cells = r if cells is None else cells & r
+            ks, i3s = live_cells(cells)
             x1s, x2s = (j1 - H).tolist(), (j2 - H).tolist()
-            ks, i3s = np.nonzero(cells)
             for k, i3 in zip(ks.tolist(), i3s.tolist()):
                 x = (x0, x1s[k], x2s[k], i3 - H)
                 b = sum(cj * xj for cj, xj in zip(lin, x))
                 c = sum(cij * x[i] * x[j] for i, j, cij in rest)
                 for x4 in _solve_conic_in_x4(sq, b, c, H):
                     pt = x + (x4,)
-                    if _eval_int(c0, pt) == 0 and _eval_int(c1, pt) == 0:
+                    # the zero tuple is no point; the rest verify exactly
+                    if (x4 or any(x)) and _eval_int(c0, pt) == 0 \
+                            and _eval_int(c1, pt) == 0:
                         found.add(ProjPoint(pt))
-
-    if x0_range is None or lo == 0:
-        # x0 = x1 = x2 = 0 strata: points (0:0:0:x3:x4)
-        for x3 in range(0, H + 1):
-            for x4 in (range(-H, H + 1) if x3 else range(1, H + 1)):
-                if gcd(x3, x4) != 1:
-                    continue
-                x = (0, 0, 0, x3, x4)
-                if _eval_int(c0, x) == 0 and _eval_int(c1, x) == 0:
-                    found.add(ProjPoint(x))
 
     pts = sorted(found)
     return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)

@@ -6,17 +6,18 @@ import pytest
 from cubicdescent.descent import DP4Surface, run_strategy
 from cubicdescent.errors import (DegenerateSurfaceError, LineNotOnSurfaceError,
                                  PointNotOnSurfaceError)
-from cubicdescent.forms import (CubicForm4, LinForm, ProjPoint,
+from cubicdescent.forms import (CubicForm4, LinForm, ProjLine, ProjPoint,
                                 QuadForm, contains_line, monomials_deg3,
                                 restrict_to_hyperplane, signature)
-from cubicdescent.geometry import (CubicSurface, _objective, cubic_to_dp4,
+from cubicdescent.geometry import (SHEARS, CubicSurface, _objective,
+                                   _shear, _shear_terms, cubic_to_dp4,
                                    dp4_to_cubic, greedy_reduce,
                                    roundtrip_check, tritangent_analysis,
                                    tritangent_square_product)
 from cubicdescent.linalg import Matrix, inverse, rank
 
-from conftest import (PAPER_POINT, random_cubic_with_line,
-                      random_dp4_with_point)
+from conftest import (PAPER_POINT, PAPER_Q0_COEFFS, PAPER_Q1_COEFFS,
+                      random_cubic_with_line, random_dp4_with_point)
 
 
 def test_cubic_to_dp4_trivial_decomposition():
@@ -191,3 +192,100 @@ def test_signed_permutations_keep_the_objective():
     for _ in range(3):
         F = CubicForm4({e: rng.randint(-30, 30) for e in monomials_deg3()})
         assert all(_objective(F.substitute(g)) == _objective(F) for g in moves)
+
+
+# the points of the published pair of height <= 42
+PAPER_POINTS = ((2, -15, -14, -6, 3), PAPER_POINT, (19, 13, 23, 7, -15))
+
+
+def _oracle_generators():
+    """The reducer's moves as matrices, in scan order: the identity plus
+    s = +-1 at the off-diagonal entry (i, j)."""
+    gens = []
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                continue
+            for s in (1, -1):
+                rows = [[int(a == b) for b in range(4)] for a in range(4)]
+                rows[i][j] = s
+                gens.append(Matrix.from_rows(rows))
+    return gens
+
+
+def _oracle_greedy_reduce(S):
+    """greedy_reduce's hill-climb with every move a CubicForm4.substitute
+    by a Fraction matrix: (F, change, line)."""
+    _, ints = S.F.primitive_coeffs()
+    current = CubicForm4(ints)
+    total = Matrix.identity(4)
+    best = _objective(current)
+    improved = True
+    while improved:
+        improved = False
+        for g in _oracle_generators():
+            cand = current.substitute(g)
+            val = _objective(cand)
+            if val < best:
+                _, ci = cand.primitive_coeffs()
+                current = CubicForm4(ci)
+                total = total @ g
+                best = val
+                improved = True
+                break
+    uinv = inverse(total)
+    p, q = S.known_line.points
+    line = ProjLine.from_points(ProjPoint(uinv.mul_vec(p.coords)),
+                                ProjPoint(uinv.mul_vec(q.coords)))
+    return current, total, line
+
+
+def _assert_matches_oracle(S):
+    reduced = greedy_reduce(S)
+    F, change, line = _oracle_greedy_reduce(S)
+    assert reduced.F == F
+    assert reduced.provenance["change"] == change
+    assert [p.coords for p in reduced.known_line.points] \
+        == [p.coords for p in line.points]
+
+
+def test_integer_shears_match_substitute():
+    gens = _oracle_generators()
+    # SHEARS lists the oracle's moves in the oracle's scan order
+    assert list(SHEARS) == [(i, j, g[i, j]) for g in gens
+                            for i in range(4) for j in range(4)
+                            if i != j and g[i, j]]
+    rng = random.Random(41)
+    monos = monomials_deg3()
+    for _ in range(5):
+        vec = [rng.choice((0, rng.randint(-10 ** 6, 10 ** 6))) for _ in monos]
+        F = CubicForm4(dict(zip(monos, vec)))
+        for terms, g in zip(_shear_terms(), gens):
+            assert CubicForm4(dict(zip(monos, _shear(vec, terms)))) \
+                == F.substitute(g)
+
+
+@pytest.mark.parametrize("point", PAPER_POINTS)
+def test_greedy_reduce_matches_oracle_on_paper_points(point):
+    # the published pair and the point under every change of the signs
+    # of x1, ..., x4
+    for signs in product((1, -1), repeat=4):
+        s = (1,) + signs
+        V = DP4Surface(*(QuadForm.from_poly_coeffs(
+            5, {(i, j): c * s[i] * s[j] for (i, j), c in cs.items()})
+            for cs in (PAPER_Q0_COEFFS, PAPER_Q1_COEFFS)))
+        P = ProjPoint([a * b for a, b in zip(s, point)])
+        _assert_matches_oracle(dp4_to_cubic(V, P))
+
+
+def test_greedy_reduce_matches_oracle_on_planted_pairs():
+    rng = random.Random(77)
+    done = 0
+    while done < 20:
+        V, P = random_dp4_with_point(rng)
+        try:
+            S = dp4_to_cubic(V, P)
+        except DegenerateSurfaceError:
+            continue
+        _assert_matches_oracle(S)
+        done += 1

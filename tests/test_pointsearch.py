@@ -130,9 +130,9 @@ def _dp4(c0, c1):
 
 
 def _through(cs, point):
-    """Shift the x_k^2 coefficient, for the first k < 4 with x_k = +-1, so
+    """Shift the x_k^2 coefficient, for the first k with x_k = +-1, so
     that the form vanishes at point."""
-    k = next(k for k in range(4) if abs(point[k]) == 1)
+    k = next(k for k in range(5) if abs(point[k]) == 1)
     cs = dict(cs)
     cs[k, k] -= _eval_int(cs, point)
     return cs
@@ -209,3 +209,29 @@ def test_brute_force_points_pass_every_table():
                 assert table[tuple(x % ell for x in p.coords[:4])], (p, ell)
         for table in tables.values():
             assert table[0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("H", range(1, 10))
+def test_packed_rows_against_brute_force(H):
+    """The sieve's bit rows hold 2H + 1 cells, padded to whole bytes: H from
+    1 to 9 gives every odd width mod 8.  The planted points sit at the end
+    of the x2 and x3 rows, next to the padding, or at the end of the x3
+    row of the triple (0, 0, 0); the pairs with no x4^2 term also hold
+    (0 : 0 : 0 : 0 : 1)."""
+    rng = random.Random(H)
+    r = lambda: rng.randint(-H, H)
+    kind = H % 3
+    if kind == 0:
+        point, scale = (1, r(), H, H, r()), lambda i, j: 1
+    elif kind == 1:
+        point, scale = (0, 0, 0, H, 1), lambda i, j: 1
+    else:
+        point = (1, r(), -H, H, r())
+        scale = lambda i, j: 0 if (i, j) == (4, 4) else 1
+    v = _dp4(_through(_random_coeffs(rng, 4, scale), point),
+             _through(_random_coeffs(rng, 4, scale), point))
+    fast = search(v, H)
+    assert ProjPoint(point) in set(fast.points)
+    if kind == 2:
+        assert ProjPoint((0, 0, 0, 0, 1)) in set(fast.points)
+    assert fast.points == brute_force_search(v, H).points
