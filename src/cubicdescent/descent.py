@@ -104,6 +104,22 @@ class RadicandReport:
         return self.splitting_element.norm()
 
     @cached_property
+    def bad_prime_product(self) -> int:
+        """The product of every numerator and denominator that a good
+        prime must not divide (frobenius.good_prime): those of
+        disc_tritangent and splitting_norm, and the denominators of the
+        coefficients of splitting_element and tritangent_poly.  It is 0
+        when the discriminant or the norm is."""
+        out = 1
+        for c in (self.disc_tritangent, self.splitting_norm):
+            c = Fraction(c)
+            out *= c.numerator * c.denominator
+        for poly in (self.splitting_element.poly, self.tritangent_poly):
+            for c in poly.coeffs:
+                out *= Fraction(c).denominator
+        return abs(out)
+
+    @cached_property
     def rational_factors(self) -> tuple:
         """(factor, multiplicity) pairs of tritangent_poly over Q, in the
         order of factor_unipoly."""

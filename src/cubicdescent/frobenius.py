@@ -10,11 +10,15 @@ splitting element is the discriminant-adjusted radicand class from the
 descent report; its total sign is +1 at every good prime, matching the
 even-sign group that acts on the lines.
 
-Point counts, singular points and the line census share one kernel: the
-residue coefficient maps of the forms are evaluated on int64 arrays over
-the affine charts of P^(n-1)(F_p), and a point is counted when every map
-vanishes there.  The census tests each line at four of its points, so it
-needs odd p.
+Point counts and singular points share one kernel: on each affine chart
+of P^(n-1)(F_p) the residue coefficient maps of the forms are evaluated
+over the open int64 grid of the free coordinates by Horner in the last
+coordinate (one broadcast multiply-add per degree, reduced mod p), and a
+point is counted when every map vanishes there.  The line census
+evaluates pointwise, monomial by monomial, at u, v and u +- v, which do
+not form a product grid; it tests each line at four of its points, so it
+needs odd p.  An odd prime is good when it does not divide the report's
+bad_prime_product.
 """
 
 from __future__ import annotations
@@ -127,25 +131,55 @@ def _eval_mod_p(coeffs: dict, x, p: int):
 
 
 def _charts(n: int, p: int):
-    """The chart representatives of P^(n-1)(F_p): for each lead index,
-    zeros before it, 1 at it and every residue after it.  Yields
-    (lead, coordinate arrays); the free coordinates are views of one
-    np.indices grid."""
+    """The charts of P^(n-1)(F_p): for each lead index, zeros before it,
+    1 at it and every residue after it.  Yields (lead, free), where free
+    is the open int64 grid (np.ix_) of the n - 1 - lead free coordinates,
+    each varying along its own axis."""
     for lead in range(n - 1, -1, -1):
-        nfree = n - 1 - lead
-        size = p ** nfree
-        grid = np.indices([p] * nfree, dtype=np.int64).reshape(nfree, size)
+        yield lead, np.ix_(*[np.arange(p, dtype=np.int64)] * (n - 1 - lead))
+
+
+def _chart_points(n: int, p: int):
+    """The charts of _charts as (lead, coordinates), every coordinate
+    flattened to one int64 array over the points of the chart."""
+    for lead, free in _charts(n, p):
+        size = p ** len(free)
         yield lead, ([np.zeros(size, dtype=np.int64)] * lead
-                     + [np.ones(size, dtype=np.int64)] + list(grid))
+                     + [np.ones(size, dtype=np.int64)]
+                     + [np.broadcast_to(y, (p,) * len(free)).reshape(size)
+                        for y in free])
+
+
+def _horner_mod_p(coeffs: dict, y, p: int):
+    """Values mod p of the residue map {exponent: c} on the open grid y
+    (one array per exponent slot).  Horner in the last coordinate: the
+    terms are grouped by its exponent, each group is evaluated the same
+    way on the grid of the remaining coordinates, and the groups are
+    combined with one broadcast multiply-add per degree, reduced mod p.
+    Every value stays below p^2, so p < 2 * 10^9 keeps int64 exact."""
+    if not y or not coeffs:
+        return sum(coeffs.values()) % p
+    groups = {}
+    for e, c in coeffs.items():
+        groups.setdefault(e[-1], {})[e[:-1]] = c
+    acc = 0
+    for d in range(max(groups), -1, -1):
+        acc = (acc * y[-1]
+               + _horner_mod_p(groups.get(d, {}), y[:-1], p)) % p
+    return acc
 
 
 def _count_zeros(forms, n: int, p: int) -> int:
     """#points of P^(n-1)(F_p) where every residue map in forms vanishes."""
     count = 0
-    for _, x in _charts(n, p):
-        zero = np.ones(x[0].shape, dtype=bool)
+    for lead, free in _charts(n, p):
+        zero = np.ones((p,) * len(free), dtype=bool)
         for f in forms:
-            zero &= _eval_mod_p(f, x, p) == 0
+            # zeros before lead and 1 at it; the form is homogeneous, so
+            # the free exponents determine the exponent at lead
+            on_chart = {e[lead + 1:]: c for e, c in f.items()
+                        if not any(e[:lead])}
+            zero &= _horner_mod_p(on_chart, free, p) == 0
         count += int(np.count_nonzero(zero))
     return count
 
@@ -194,10 +228,10 @@ def census_lines(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
         raise BadPrimeError("the line census needs odd characteristic")
     coeffs = reduce_cubic_mod_p(F, p)
     count = 0
-    for j, u in _charts(4, p):
+    for j, u in _chart_points(4, p):
         u = [a[:, None] for a in u]
         u_on = _eval_mod_p(coeffs, u, p) == 0
-        for i, w in _charts(3, p):
+        for i, w in _chart_points(3, p):
             if i >= j:
                 continue
             v = [b[None, :] for b in w[:j]] + [0] + [b[None, :] for b in w[j:]]
@@ -210,22 +244,10 @@ def census_lines(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def good_prime(report: RadicandReport, q: int) -> bool:
-    """Odd q not dividing disc(p), any relevant denominator, or the norm
-    of the splitting element."""
-    if q == 2 or _vanishes_mod(report.disc_tritangent, q):
-        return False
-    for c in report.splitting_element.poly.coeffs:
-        if Fraction(c).denominator % q == 0:
-            return False
-    if _vanishes_mod(report.splitting_norm, q):
-        return False
-    return all(Fraction(c).denominator % q
-               for c in report.tritangent_poly.coeffs)
-
-
-def _vanishes_mod(c: Fraction, q: int) -> bool:
-    c = Fraction(c)
-    return c.numerator % q == 0 or c.denominator % q == 0
+    """Odd prime q not dividing disc(p), any relevant denominator, or the
+    norm of the splitting element: one remainder of the report's
+    bad_prime_product."""
+    return q != 2 and report.bad_prime_product % q != 0
 
 
 def frobenius_class(report: RadicandReport, q: int) -> FrobClass:

@@ -1,5 +1,5 @@
 """Exact dense linear algebra over the rationals, and the rank of an
-integer matrix mod a prime.
+integer matrix mod a prime (numpy, on residues below p < 2^31).
 
 Matrices are immutable with Fraction entries.  Elimination runs
 fraction-free (Bareiss) on integer-rescaled rows, so intermediate values
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 from .errors import NonSquareMatrixError, SingularMatrixError
 from .unipoly import UniPoly
@@ -215,20 +217,29 @@ def rank(m: Matrix) -> int:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p (p prime) of an integer matrix given as a list of
-    rows, by Gaussian elimination on residues."""
-    rows = [[x % p for x in r] for r in rows]
+    """Rank over F_p (p prime, p < 2^31) of an integer matrix given as a
+    list of rows, by Gaussian elimination on an int64 array of residues:
+    every product of two residues is below 2^62.  Larger p raise
+    ValueError."""
+    if p >= 1 << 31:
+        raise ValueError(f"rank_mod_p needs p < 2^31, got {p}")
+    if not rows:
+        return 0
+    m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
     r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        i = next((i for i, row in enumerate(rows) if row[c]), None)
-        if i is None:
+    for c in range(m.shape[1]):
+        live = np.flatnonzero(m[r:, c])
+        if not live.size:
             continue
-        piv = rows.pop(i)
-        inv = pow(piv[c], -1, p)
-        piv = [x * inv % p for x in piv]
-        rows = [[(a - row[c] * b) % p for a, b in zip(row, piv)]
-                if row[c] else row for row in rows]
+        i = r + live[0]
+        piv = m[i, c:] * pow(int(m[i, c]), -1, p) % p
+        m[i] = m[r]
+        rest = m[r + 1:, c:]
+        rest -= np.outer(rest[:, 0], piv) % p
+        rest %= p
         r += 1
+        if r == m.shape[0]:
+            break
     return r
 
 

@@ -4,18 +4,22 @@ Height convention: max absolute coordinate of the primitive integer
 representative.  The kernel is a residue sieve with an exact finish.  For
 each prime ell in SIEVE_PRIMES a table over residues mod ell records which
 (x0, x1, x2, x3) mod ell extend to a common zero of both quadrics mod ell.
-Once per call the tables are read at the residues of the searched
-coordinates -H..H and packed into bit rows of 2H + 1 cells (np.packbits,
-zero padding to whole bytes): the x3 row of each (a0, a1, a2) in the full
-table and the x2 row of each (a0, a1) in the table projected to three
-coordinates.  Stage 1 ANDs the x2 rows of every x1 for each x0
-(sign-normalized); stage 2 ANDs the x3 rows of every surviving triple,
-the triple (0, 0, 0) included, so points (0 : 0 : 0 : x3 : x4) need no
-loop of their own.  Only rows with a bit left are unpacked.  Each
-surviving 4-tuple is solved for x4 as a conic in plain Python integers
-and every root other than the zero tuple is re-verified on both
-quadrics.  Only residues below ell and bits enter numpy, so no
-coefficient size can overflow it.
+A table is one lookup, with no loop over x4 mod ell: each form is
+fixed + linear*x4 + sq*x4^2, fixed and linear are evaluated once over the
+ell^4 grid in int16 (every sum below RESIDUE_BOUND) and reduced mod ell,
+and the residue pair (fixed, linear) indexes a uint16 bitmask of the
+zeros over x4 mod ell; the two masks are ANDed.  Once per call the tables
+are read at the residues of the searched coordinates -H..H and packed
+into bit rows of 2H + 1 cells (np.packbits, zero padding to whole bytes):
+the x3 row of each (a0, a1, a2) in the full table and the x2 row of each
+(a0, a1) in the table projected to three coordinates.  Stage 1 ANDs the
+x2 rows of every x1 for each x0 (sign-normalized); stage 2 ANDs the x3
+rows of every surviving triple, the triple (0, 0, 0) included, so points
+(0 : 0 : 0 : x3 : x4) need no loop of their own.  Only rows with a bit
+left are unpacked.  Each surviving 4-tuple is solved for x4 as a conic in
+plain Python integers and every root other than the zero tuple is
+re-verified on both quadrics.  Only residues below ell, bitmasks and bits
+enter numpy, so no coefficient size can overflow it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .forms import ProjPoint, QuadForm
 
 #: moduli of the residue sieve (see _residue_table)
 SIEVE_PRIMES = (3, 5, 7, 11, 13)
-#: the largest sum a residue table can reach: 15 monomials, each a
+#: a bound on every int16 sum in a residue table: 15 monomials, each a
 #: coefficient residue times two coordinate residues, all below ell
 RESIDUE_BOUND = 15 * (max(SIEVE_PRIMES) - 1) ** 3
 assert RESIDUE_BOUND <= np.iinfo(np.int16).max
@@ -134,31 +138,61 @@ def _solve_conic_in_x4(a, b, c, H):
     return sorted(set(out))
 
 
+def _reduce(x: np.ndarray, ell: int) -> np.ndarray:
+    """x mod ell for a nonnegative integer array.  numpy divides by a
+    scalar in a vectorized loop but has none for the remainder: on 13^4
+    int16 cells x - x // ell * ell takes about 13 us and x % ell 92 us
+    (x86-64, numpy 2.4)."""
+    return x - x // ell * ell
+
+
+def _zero_masks(sq: int, ell: int) -> np.ndarray:
+    """Z[f * ell + l] for (f, l) in F_ell^2: the bitmask over a4 mod ell of
+    the zeros of f + l*a4 + sq*a4^2 mod ell (uint16, since ell <= 16)."""
+    a4 = np.arange(ell, dtype=np.int16)
+    fl = np.arange(ell * ell, dtype=np.int16)[:, None]
+    zero = (fl // ell + fl % ell * a4 + sq * a4 * a4) % ell == 0
+    return (zero.astype(np.uint16) << a4.astype(np.uint16)).sum(
+        axis=1, dtype=np.uint16)
+
+
 def _residue_table(c0: dict, c1: dict, ell: int) -> np.ndarray:
     """Boolean table T[a0, a1, a2, a3] over residues mod ell: True iff some
     a4 mod ell makes both integer forms vanish mod ell.
 
-    Every integer point reduces into a True entry, whether or not the
-    reduction mod ell is good, so the table only ever discards tuples with
-    no solution.  The sums run in int16 on residues in [0, ell): each of
-    the 15 monomials is at most (ell - 1)**3, see RESIDUE_BOUND.
+    As a polynomial in a4 each form is fixed + linear*a4 + sq*a4^2, with
+    fixed and linear forms in a0..a3.  Both are evaluated once over the
+    ell^4 grid and reduced mod ell; then T = Z0[fixed0*ell + linear0] &
+    Z1[fixed1*ell + linear1] != 0, where Zk holds the zero bitmask over a4
+    of each (fixed, linear) residue pair (_zero_masks).  Every integer
+    point reduces into a True entry, whether or not the reduction mod ell
+    is good, so the table only ever discards tuples with no solution.
+
+    fixed is built in Horner order, one coordinate at a time, so most
+    products run on grids of fewer dimensions: fixed_k = fixed_(k-1) +
+    (col_k + r_kk*a_k)*a_k mod ell, where col_k = sum_(i<k) r_ik*a_i is
+    kept unreduced.  The sums run in int16 on residues in [0, ell): a
+    step adds a residue to at most four terms, each a coefficient residue
+    times two coordinate residues, so no sum exceeds RESIDUE_BOUND.
     """
-    a = [np.arange(ell, dtype=np.int16).reshape([-1 if k == i else 1
-                                                 for k in range(4)])
-         for i in range(4)]
-    forms = []
+    a = np.arange(ell, dtype=np.int16)
+    times = np.outer(a, a)                  # times[c] = c * a
+    hit = None
     for cs in (c0, c1):
         r = {k: v % ell for k, v in cs.items()}
-        fixed = sum(r[i, j] * a[i] * a[j] for i in range(4) for j in range(i, 4))
-        linear = sum(r[i, 4] * a[i] for i in range(4))
-        forms.append((fixed, linear, r[4, 4]))
-    table = np.zeros((ell,) * 4, dtype=bool)
-    for a4 in range(ell):
-        hit = True
-        for fixed, linear, square in forms:
-            hit = hit & ((fixed + a4 * linear + square * a4 * a4) % ell == 0)
-        table |= hit
-    return table
+        fixed = np.zeros((), dtype=np.int16)
+        # cols[j]: sum of r[i, j] * a_i over the coordinates i < k so far;
+        # cols[4] ends as the part linear in a4
+        cols = [fixed] * 5
+        for k in range(4):
+            fixed = _reduce(fixed[..., None]
+                            + (cols[k][..., None] + times[r[k, k]]) * a, ell)
+            for j in range(k + 1, 5):
+                cols[j] = cols[j][..., None] + times[r[k, j]]
+        cell = np.take(_zero_masks(r[4, 4], ell),
+                       fixed * ell + _reduce(cols[4], ell))
+        hit = cell if hit is None else hit & cell
+    return hit != 0
 
 
 def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
@@ -183,10 +217,13 @@ def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
         t4 = _residue_table(c0, c1, ell)
         res = coords % ell
         # bit rows over the searched coordinates: the x3 row of each
-        # (a0, a1, a2) in T4 and the x2 row of each (a0, a1) in T3
+        # (a0, a1, a2) in T4 and the x2 row of each (a0, a1) in T3;
+        # np.take gathers them contiguously, which packbits reads about
+        # twice as fast as the strided result of t4[..., res]
         sieve.append((ell, res,
-                      np.packbits(t4[..., res], axis=-1),
-                      np.packbits(t4.any(axis=3)[..., res], axis=-1)))
+                      np.packbits(np.take(t4, res, axis=3), axis=-1),
+                      np.packbits(np.take(t4.any(axis=3), res, axis=2),
+                                  axis=-1)))
     # sign normalization at x0 = 0: x1 >= 0, and x2 >= 0 when x1 = 0
     nonneg = np.packbits(coords >= 0)
     # stage 2 runs on blocks of at most 2**20 (x1, x2, x3) cells

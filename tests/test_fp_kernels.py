@@ -5,15 +5,18 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cubicdescent.descent import DP4Surface
 from cubicdescent.errors import BadPrimeError, BudgetExceededError
 from cubicdescent.forms import (CubicForm4, ProjLine, ProjPoint, QuadForm,
                                 line_section_cubic)
-from cubicdescent.frobenius import (census_lines, count_points_cubic,
+from cubicdescent.frobenius import (_chart_points, _eval_mod_p, _residues,
+                                    census_lines, count_points_cubic,
                                     count_points_dp4, reduce_cubic_mod_p,
-                                    singular_points_mod_p)
+                                    reduce_dp4_mod_p, singular_points_mod_p)
+from cubicdescent.intfactor import primes_up_to
 
 from conftest import (PAPER_CUBIC_COEFFS, PAPER_Q0_COEFFS, PAPER_Q1_COEFFS,
                       random_cubic_with_line, random_quadform)
@@ -56,8 +59,24 @@ def _pairs():
     return out
 
 
+def _sparse_pairs():
+    """Seeded pairs whose forms lack some variables: Q0 has no x_k and Q1
+    no x_(k+1), for two values of k."""
+    rng = random.Random(33)
+    out = []
+    for k in (0, 3):
+        quads = []
+        for lack in (k, k + 1):
+            quads.append(QuadForm.from_poly_coeffs(5, {
+                (i, j): rng.randint(-6, 6) for i in range(5)
+                for j in range(i, 5) if lack not in (i, j)}))
+        out.append(DP4Surface(*quads))
+    return out
+
+
 CUBICS = _cubics()
 PAIRS = _pairs()
+SPARSE_PAIRS = _sparse_pairs()
 
 
 def _mod(x, p):
@@ -204,3 +223,35 @@ def test_singular_points_budget(monkeypatch):
         singular_points_mod_p(FERMAT, 173)
     with pytest.raises(AssertionError, match="p=167"):
         singular_points_mod_p(FERMAT, 167)
+
+
+def _count_zeros_per_monomial(forms, n, p):
+    """Oracle: every monomial of every residue map evaluated pointwise on
+    the flattened charts of P^(n-1)(F_p)."""
+    count = 0
+    for _, x in _chart_points(n, p):
+        zero = np.ones(x[0].shape, dtype=bool)
+        for f in forms:
+            zero &= _eval_mod_p(f, x, p) == 0
+        count += int(np.count_nonzero(zero))
+    return count
+
+
+@pytest.mark.parametrize("p", primes_up_to(31))
+@pytest.mark.parametrize("name", list(CUBICS))
+def test_cubic_kernels_against_per_monomial(name, p):
+    F = CUBICS[name]
+    coeffs = reduce_cubic_mod_p(F, p)
+    partials = [_residues(d, p) for d in F.partials()]
+    assert count_points_cubic(F, p) == _count_zeros_per_monomial(
+        [coeffs], 4, p)
+    assert singular_points_mod_p(F, p) == _count_zeros_per_monomial(
+        [coeffs] + partials, 4, p)
+
+
+@pytest.mark.parametrize("p", primes_up_to(31)[1:])
+@pytest.mark.parametrize("k", range(len(SPARSE_PAIRS) + 1))
+def test_dp4_count_against_per_monomial(k, p):
+    V = (PAIRS[:1] + SPARSE_PAIRS)[k]
+    assert count_points_dp4(V, p) == _count_zeros_per_monomial(
+        reduce_dp4_mod_p(V, p), 5, p)

@@ -2,10 +2,14 @@
 block-anchored parts, the per-report values are computed once, and the
 reading makes no random split."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from cubicdescent import descent, gfpoly, polyfactor
 from cubicdescent.descent import run_strategy
+from cubicdescent.errors import CubicDescentError
 from cubicdescent.frobenius import (_reduce_fraction, frobenius_class,
                                     frobenius_class_anchored, good_prime,
                                     sample_frobenius)
@@ -13,7 +17,7 @@ from cubicdescent.gfpoly import gp_factor_squarefree, gp_pow_mod
 from cubicdescent.intfactor import primes_up_to
 from cubicdescent.unipoly import UniPoly
 
-from conftest import PAPER_P
+from conftest import PAPER_P, random_squarefree_quintic
 
 # the seven galois-fit quintics of perfbench, named by fitted order
 FITS = {
@@ -103,3 +107,45 @@ def test_reading_makes_no_random_split(monkeypatch):
     sr = sample_frobenius(rep)
     assert sr.subgroup_order == 16
     assert sr.orbit_lengths == [1, 2, 4, 4, 16]
+
+
+def good_prime_per_value(rep, q):
+    """Oracle: good_prime as one test per numerator and denominator."""
+    def vanishes(c):
+        c = Fraction(c)
+        return c.numerator % q == 0 or c.denominator % q == 0
+
+    if q == 2 or vanishes(rep.disc_tritangent):
+        return False
+    if any(Fraction(c).denominator % q == 0
+           for c in rep.splitting_element.poly.coeffs):
+        return False
+    if vanishes(rep.splitting_norm):
+        return False
+    return all(Fraction(c).denominator % q
+               for c in rep.tritangent_poly.coeffs)
+
+
+def _seeded_quintics(count=20):
+    rng = random.Random(2000)
+    out = []
+    while len(out) < count:
+        quintic = random_squarefree_quintic(rng)
+        try:
+            run_strategy(quintic)
+        except CubicDescentError:
+            continue
+        out.append(quintic)
+    return out
+
+
+def test_good_prime_is_one_remainder():
+    primes = primes_up_to(2000)
+    bad = 0
+    for quintic in QUINTICS + _seeded_quintics():
+        _, rep = run_strategy(quintic)
+        verdicts = [good_prime(rep, q) for q in primes]
+        assert verdicts == [good_prime_per_value(rep, q) for q in primes]
+        assert not verdicts[0]                  # q = 2
+        bad += verdicts.count(False) - 1
+    assert bad > 0

@@ -145,3 +145,23 @@ def test_rank_mod_p_matches_exact_rank():
             rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)]
                     for r in a]
         assert rank_mod_p(rows, 2_147_483_647) == rank(Matrix.from_rows(rows))
+
+
+def test_rank_mod_p_int64_boundary():
+    # every residue p - 1 at the largest admitted prime: each product in
+    # the elimination is (p - 1)^2 < 2^62
+    from cubicdescent.ideals import MACAULAY_PRIME
+
+    p = MACAULAY_PRIME
+    assert (p - 1) ** 2 < 2 ** 62 and p < 2 ** 31
+    assert rank_mod_p([[p - 1] * 56] * 80, p) == 1
+    rng = random.Random(2)
+    for trial in range(20):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        signs = [[rng.choice((1, -1)) for _ in range(m)] for _ in range(n)]
+        # -1 and p - 1 are the same residue; the exact rank of the sign
+        # matrix is the rank mod p, since its minors are below 6! < p
+        rows = [[p - 1 if s < 0 else 1 for s in r] for r in signs]
+        assert rank_mod_p(rows, p) == rank(Matrix.from_rows(signs))
+    with pytest.raises(ValueError):
+        rank_mod_p([[1]], 2 ** 31 + 11)

@@ -149,6 +149,53 @@ def _random_point(rng):
     return tuple(x)
 
 
+def _residue_table_a4_loop(c0, c1, ell):
+    """Oracle: the table by one pass over the ell^4 grid per a4 mod ell."""
+    a = [np.arange(ell).reshape([-1 if k == i else 1 for k in range(4)])
+         for i in range(4)]
+    table = np.zeros((ell,) * 4, dtype=bool)
+    for a4 in range(ell):
+        hit = True
+        for cs in (c0, c1):
+            value = sum(c * a[i] * a[j] for (i, j), c in cs.items() if j < 4)
+            value = value + sum(cs[i, 4] * a[i] for i in range(4)) * a4
+            hit = hit & ((value + cs[4, 4] * a4 * a4) % ell == 0)
+        table |= hit
+    return table
+
+
+def _table_cases():
+    """(c0, c1, ell) with the case name as id: seeded pairs, and forms with
+    no a4^2 term, no term linear in a4, or no term at all mod ell."""
+    rng = random.Random(1313)
+    shapes = {
+        "seeded": lambda i, j: False,
+        "no-square": lambda i, j: (i, j) == (4, 4),
+        "no-linear": lambda i, j: i < 4 == j,
+        "zero-form": lambda i, j: True,
+    }
+    cases = []
+    for ell in SIEVE_PRIMES:
+        for name, vanishes in shapes.items():
+            for k in range(2):
+                c0 = {(i, j): rng.randint(-10 ** 6, 10 ** 6) * (
+                          ell if vanishes(i, j) else 1)
+                      for i in range(5) for j in range(i, 5)}
+                c1 = _random_coeffs(rng, 10 ** 6)
+                if k:
+                    c0, c1 = c1, c0
+                cases.append(pytest.param(c0, c1, ell,
+                                          id=f"{name}-{ell}-form{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("c0, c1, ell", _table_cases())
+def test_residue_table_against_a4_loop(c0, c1, ell):
+    table = _residue_table(c0, c1, ell)
+    assert table.shape == (ell,) * 4 and table.dtype == bool
+    assert np.array_equal(table, _residue_table_a4_loop(c0, c1, ell))
+
+
 def _sieve_cases():
     """Pairs through a planted point that the residue tables must not lose:
     (planted point, c0, c1) with the case name as id."""
