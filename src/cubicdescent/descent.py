@@ -19,7 +19,8 @@ from functools import cached_property
 
 from .errors import (DegeneratePencilError, DependentFormsError,
                      NonGeneratorError, ZeroDivisorError)
-from .etale import DEGREE, AlgElement, EtaleAlgebra
+from .etale import (DEGREE, AlgElement, EtaleAlgebra,
+                    over_common_denominator)
 from .forms import BinaryQuintic, QuadForm, p1_normalize, pencil_determinant
 from .intfactor import is_perfect_square, squarefree_class
 from .linalg import Matrix, det, rank, solve_linear
@@ -84,7 +85,11 @@ class RadicandReport:
     disc(charpoly(m)) * rho whose conjugates generate the actual
     line-splitting fields; its norm is a perfect square for every valid
     input, which is the exact global form of the evenness of the sign
-    group acting on the lines.
+    group acting on the lines.  splitting_psi is the same class written
+    as a polynomial in m = -b/a, psi_e = disc(charpoly(m)) * psi_rho with
+    psi_rho(m) = rho: an element of Q[m]/(tritangent_poly), whose residue
+    fields are the ones the Frobenius reading works in.  For the default
+    x = r, m = r and psi_e has the coordinates of splitting_element.
     """
 
     rho: AlgElement
@@ -94,6 +99,7 @@ class RadicandReport:
     norm_rho: Fraction
     disc_tritangent: Fraction
     splitting_element: AlgElement
+    splitting_psi: AlgElement
 
     @property
     def norm_is_square(self) -> bool:
@@ -108,15 +114,14 @@ class RadicandReport:
         """The product of every numerator and denominator that a good
         prime must not divide (frobenius.good_prime): those of
         disc_tritangent and splitting_norm, and the denominators of the
-        coefficients of splitting_element and tritangent_poly.  It is 0
-        when the discriminant or the norm is."""
+        coefficients of splitting_psi and tritangent_poly.  It is 0 when
+        the discriminant or the norm is."""
         out = 1
         for c in (self.disc_tritangent, self.splitting_norm):
             c = Fraction(c)
             out *= c.numerator * c.denominator
-        for poly in (self.splitting_element.poly, self.tritangent_poly):
-            for c in poly.coeffs:
-                out *= Fraction(c).denominator
+        for c in (*self.splitting_psi.coords(), *self.tritangent_poly.coeffs):
+            out *= Fraction(c).denominator
         return abs(out)
 
     @cached_property
@@ -125,20 +130,37 @@ class RadicandReport:
         order of factor_unipoly."""
         return tuple(factor_unipoly(self.tritangent_poly)[1])
 
+    @cached_property
+    def factor_numerators(self) -> tuple:
+        """(numerators, denominator) of each rational factor, in the
+        order of rational_factors."""
+        return tuple(over_common_denominator(f.coeffs)
+                     for f, _ in self.rational_factors)
+
 
 def trace_gram(weight: AlgElement, l) -> Matrix:
-    """Matrix of trace(weight * c_j * c_k), as C^T H C: H[a][b] =
-    Tr(weight * r^(a+b)) = sum_i w_i s_(i+a+b) for the power sums s of the
-    algebra, and column j of C holds the coordinates of c_j."""
-    s = weight.algebra.power_sums
-    w = weight.coords()
-    hankel = [sum(wi * s[i + m] for i, wi in enumerate(w) if wi)
+    """Matrix of trace(weight * c_j * c_k), as C^T H C on integers.
+
+    With weight = w / d, the power sums s_i = S_i / sigma of the algebra
+    and column j of C the numerators of c_j = C_j / d_j, the Hankel
+    numerators are H[a][b] = sum_i w_i S_(i+a+b), and entry (j, k) is the
+    integer C_j^T H C_k divided once, by d * sigma * d_j * d_k."""
+    algebra = weight.algebra
+    s = algebra.power_sum_num
+    hankel = [sum(wi * s[i + m] for i, wi in enumerate(weight.num) if wi)
               for m in range(2 * DEGREE - 1)]
-    h = Matrix(DEGREE, DEGREE, [hankel[a + b] for a in range(DEGREE)
-                                for b in range(DEGREE)])
-    cols = [cj.coords() for cj in l]
-    c = Matrix(DEGREE, len(l), [col[i] for i in range(DEGREE) for col in cols])
-    return c.transpose() @ h @ c
+    cols = [cj.num for cj in l]
+    hc = [[sum(hankel[a + b] * cb for b, cb in enumerate(col) if cb)
+           for col in cols] for a in range(DEGREE)]
+    base = weight.den * algebra.power_sum_den
+    n = len(cols)
+    entries = [None] * (n * n)
+    for j, cj in enumerate(cols):
+        for k in range(j, n):
+            entries[j * n + k] = entries[k * n + j] = Fraction(
+                sum(cj[a] * hc[a][k] for a in range(DEGREE)),
+                base * l[j].den * l[k].den)
+    return Matrix(n, n, entries)
 
 
 def power_basis_form(algebra: EtaleAlgebra) -> tuple:
@@ -172,14 +194,16 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
     Requires a to be a unit and m = -b/a to generate the algebra.
     """
     a, b = inp.a, inp.b
-    if not a.is_unit():
+    norm_a = a.norm()
+    if norm_a == 0:                 # the units are the elements of nonzero norm
         raise ZeroDivisorError("a must be a unit to form -b/a")
     m = -(b * a.inverse())
     chi_m = m.charpoly_of()
-    if not chi_m.is_squarefree():
+    disc_m = chi_m.discriminant()
+    if disc_m == 0:                 # chi_m is not squarefree
         raise NonGeneratorError("-b/a does not generate the algebra")
     # chi_m is squarefree, so chi_m'(m) is the different of m
-    rho = a ** 3 * m.evaluate_poly(chi_m.derivative()) * a.norm()
+    rho = a ** 3 * m.evaluate_poly(chi_m.derivative()) * norm_a
     conj_poly = rho.charpoly_of()
 
     # Express rho as a polynomial psi in m, then evaluate psi at each
@@ -187,13 +211,13 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
     powers = [inp.algebra.one()]
     for _ in range(DEGREE - 1):
         powers.append(powers[-1] * m)
+    cols = [power.coords() for power in powers]
     mat = Matrix(DEGREE, DEGREE,
-                 [powers[j].coords()[i] for i in range(DEGREE) for j in range(DEGREE)])
+                 [cols[j][i] for i in range(DEGREE) for j in range(DEGREE)])
     psi_coeffs = solve_linear(mat, rho.coords())
     assert psi_coeffs is not None, "m generates, so the power matrix is invertible"
     psi = UniPoly(psi_coeffs)
 
-    disc_m = chi_m.discriminant()
     report = RadicandReport(
         rho=rho,
         conj_poly=conj_poly,
@@ -202,6 +226,7 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
         norm_rho=-conj_poly[0],
         disc_tritangent=disc_m,
         splitting_element=rho * disc_m,
+        splitting_psi=EtaleAlgebra(chi_m).element(psi * disc_m),
     )
     roots = sorted(-g[0] for g, _ in report.rational_factors if g.degree == 1)
     for t in roots:

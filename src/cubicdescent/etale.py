@@ -1,16 +1,30 @@
 """The quintic etale algebra A = Q[T]/(p) and its element arithmetic.
 
-p must be a monic squarefree quintic.  Elements are residue polynomials of
-degree < 5.  The trace is one linear functional: the algebra keeps the
-power sums s_k = Tr(r^k), read off p's coefficients by Newton's
-identities, and Tr(x) = sum_k x_k s_k.  Characteristic polynomials and
-norms follow from the traces of the powers of x by Newton's identities
-again, so no embedding is ever computed numerically.
+p must be a monic squarefree quintic with rational coefficients.  An
+element is five integer numerators x_0..x_4 over one positive denominator
+d, reduced by their gcd: the residue polynomial (x_0 + ... + x_4 T^4) / d.
+The algebra keeps P = delta * p, p cleared of its least common denominator
+delta (delta = 1 for an integral p).  A product is an integer convolution
+followed by pseudo-division by P: each step that folds away the top
+power T^k (k >= 5) multiplies the numerators through by delta, the
+leading coefficient of P, and the denominator with them.  A rational p
+takes the same steps as an integral one.
+
+The trace is one linear functional: the algebra keeps the power sums
+s_k = Tr(r^k), read off P's coefficients by Newton's identities in
+integers, as numerators over one common denominator, and
+Tr(x) = sum_k x_k s_k is one integer dot product and one Fraction.
+Characteristic polynomials and norms follow from the traces of the
+powers of x by Newton's identities again, so no embedding is ever
+computed numerically; nor is a gcd: an element is a unit when its norm
+is nonzero, and its inverse comes from its characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NonGeneratorError, NotEtaleError, ZeroDivisorError
 from .unipoly import UniPoly
@@ -21,17 +35,34 @@ DEGREE = 5
 POWER_SUM_COUNT = 3 * (DEGREE - 1) + 1
 
 
-def _newton_power_sums(coeffs, count: int) -> list:
-    """s_0 .. s_(count-1), s_k the k-th power sum of the roots of the monic
-    polynomial with coefficients `coeffs` (lowest degree first)."""
-    n = len(coeffs) - 1
-    s = [Fraction(n)]
+def over_common_denominator(values) -> tuple:
+    """(numerators, denominator): the rationals `values` written over
+    their least common denominator."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _newton_power_sums(p_num, count: int) -> tuple:
+    """(numerators, denominator) of s_0 .. s_(count-1), s_k the k-th power
+    sum of the roots of P / lead for the integer polynomial P = p_num
+    (lowest degree first) with leading coefficient lead.  By Newton's
+    identities t_k = lead^k * s_k is an integer, t_0 = n and
+    t_k = -(k P_(n-k) lead^(k-1)
+            + sum_(j = 1..min(k-1, n)) P_(n-j) lead^(j-1) t_(k-j)),
+    the first term only for k <= n."""
+    n = len(p_num) - 1
+    lead = p_num[n]
+    t = [n]
     for k in range(1, count):
-        acc = k * coeffs[n - k] if k <= n else 0
+        acc = k * p_num[n - k] * lead ** (k - 1) if k <= n else 0
         for j in range(1, min(k - 1, n) + 1):
-            acc += coeffs[n - j] * s[k - j]
-        s.append(-acc)
-    return s
+            acc += p_num[n - j] * lead ** (j - 1) * t[k - j]
+        t.append(-acc)
+    top = count - 1
+    num = [tk * lead ** (top - k) for k, tk in enumerate(t)]
+    g = gcd(*num, lead ** top)
+    return tuple(v // g for v in num), lead ** top // g
 
 
 def _newton_charpoly(traces) -> UniPoly:
@@ -49,9 +80,12 @@ def _newton_charpoly(traces) -> UniPoly:
 
 
 class EtaleAlgebra:
-    """Q[T]/(p) for a monic squarefree polynomial p of degree 5."""
+    """Q[T]/(p) for a monic squarefree polynomial p of degree 5.
 
-    __slots__ = ("p", "power_sums")
+    p_num holds the six integer coefficients of P = p_den * p, lowest
+    degree first; power_sum_num / power_sum_den are Tr(r^k), k < 13."""
+
+    __slots__ = ("p", "p_num", "p_den", "power_sum_num", "power_sum_den")
 
     def __init__(self, p: UniPoly):
         if not isinstance(p, UniPoly):
@@ -63,29 +97,56 @@ class EtaleAlgebra:
         if not p.is_squarefree():
             raise NotEtaleError("defining polynomial must be squarefree")
         self.p = p
-        self.power_sums = tuple(_newton_power_sums(p.coeffs, POWER_SUM_COUNT))
+        num, self.p_den = over_common_denominator(p.coeffs)
+        self.p_num = tuple(num)
+        self.power_sum_num, self.power_sum_den = _newton_power_sums(
+            self.p_num, POWER_SUM_COUNT)
 
     @classmethod
     def from_roots(cls, roots) -> "EtaleAlgebra":
         return cls(UniPoly.from_roots(roots))
+
+    @property
+    def power_sums(self) -> tuple:
+        """Tr(r^k) for k < POWER_SUM_COUNT, as Fractions."""
+        return tuple(Fraction(s, self.power_sum_den)
+                     for s in self.power_sum_num)
+
+    def reduce(self, c: list) -> tuple:
+        """(numerators, k): the pseudo-remainder p_den^k * c mod P of the
+        integer polynomial c (lowest degree first; the list is consumed),
+        padded to DEGREE numerators.  k counts the folded powers whose
+        coefficient was nonzero."""
+        lead, low = self.p_den, self.p_num
+        k = 0
+        while len(c) > DEGREE:
+            t = c.pop()
+            if t:
+                c = [v * lead for v in c]
+                base = len(c) - DEGREE
+                for j in range(DEGREE):
+                    c[base + j] -= t * low[j]
+                k += 1
+        return c + [0] * (DEGREE - len(c)), k
 
     def element(self, value) -> "AlgElement":
         if isinstance(value, AlgElement):
             if value.algebra is not self and value.algebra.p != self.p:
                 raise ValueError("element belongs to a different algebra")
             return value
-        if not isinstance(value, UniPoly):
-            if isinstance(value, (int, Fraction)):
-                value = UniPoly([value])
-            else:
-                value = UniPoly(value)
-        return AlgElement(self, value % self.p)
+        if isinstance(value, UniPoly):
+            value = value.coeffs
+        elif isinstance(value, (int, Fraction)):
+            value = (value,)
+        num, den = over_common_denominator(value)
+        num, k = self.reduce(num)
+        return AlgElement(self, num, den * self.p_den ** k)
 
     def zero(self) -> "AlgElement":
-        return self.element(UniPoly.zero())
+        return AlgElement(self, (0,) * DEGREE)
 
     def one(self) -> "AlgElement":
-        return self.element(UniPoly.one())
+        return AlgElement(self, (1,) + (0,) * (DEGREE - 1))
 
     @property
     def r(self) -> "AlgElement":
@@ -125,34 +186,50 @@ def from_split_values(algebra: EtaleAlgebra, roots, values) -> "AlgElement":
 
 
 class AlgElement:
-    """Residue class in a quintic etale algebra."""
+    """Residue class in a quintic etale algebra: the integer numerators
+    num (DEGREE of them) over the positive denominator den, with
+    gcd(*num, den) = 1."""
 
-    __slots__ = ("algebra", "poly")
+    __slots__ = ("algebra", "num", "den")
 
-    def __init__(self, algebra: EtaleAlgebra, poly: UniPoly):
-        if poly.degree >= DEGREE:
-            poly = poly % algebra.p
+    def __init__(self, algebra: EtaleAlgebra, num, den: int = 1):
+        g = gcd(*num, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
         self.algebra = algebra
-        self.poly = poly
+        self.num = tuple(num)
+        self.den = den
 
     def coords(self) -> list:
-        return [self.poly[k] for k in range(DEGREE)]
+        return [Fraction(v, self.den) for v in self.num]
+
+    @property
+    def poly(self) -> UniPoly:
+        """The residue polynomial of degree < 5."""
+        return UniPoly(self.coords())
 
     def _coerce(self, other) -> "AlgElement":
         if isinstance(other, AlgElement):
-            if other.algebra.p != self.algebra.p:
+            if (other.algebra is not self.algebra
+                    and other.algebra.p != self.algebra.p):
                 raise ValueError("elements of different algebras")
             return other
         return self.algebra.element(other)
 
     def __add__(self, other) -> "AlgElement":
         other = self._coerce(other)
-        return AlgElement(self.algebra, self.poly + other.poly)
+        d, e = self.den, other.den
+        return AlgElement(self.algebra,
+                          [x * e + y * d for x, y in zip(self.num, other.num)],
+                          d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgElement":
-        return AlgElement(self.algebra, -self.poly)
+        return AlgElement(self.algebra, [-x for x in self.num], self.den)
 
     def __sub__(self, other) -> "AlgElement":
         return self + (-self._coerce(other))
@@ -162,9 +239,19 @@ class AlgElement:
 
     def __mul__(self, other) -> "AlgElement":
         if isinstance(other, (int, Fraction)):
-            return AlgElement(self.algebra, self.poly * other)
+            c = Fraction(other)
+            return AlgElement(self.algebra,
+                              [x * c.numerator for x in self.num],
+                              self.den * c.denominator)
         other = self._coerce(other)
-        return AlgElement(self.algebra, (self.poly * other.poly) % self.algebra.p)
+        c = [0] * (2 * DEGREE - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(other.num):
+                    c[i + j] += x * y
+        num, k = self.algebra.reduce(c)
+        return AlgElement(self.algebra, num,
+                          self.den * other.den * self.algebra.p_den ** k)
 
     __rmul__ = __mul__
 
@@ -181,45 +268,47 @@ class AlgElement:
         return result
 
     def inverse(self) -> "AlgElement":
-        """Inverse via extended gcd; non-units are zero divisors."""
-        g, s, _ = self.poly.xgcd(self.algebra.p)
-        if g.degree != 0:
+        """Inverse by Cayley-Hamilton: chi(x) = 0 and chi(0) = -N(x), so
+        x^-1 = h(x) / N(x) for h = (chi - chi(0)) / T.  Non-units, whose
+        norm is 0, are zero divisors."""
+        chi = self.charpoly_of()
+        if chi[0] == 0:
+            g = self.poly.gcd(self.algebra.p)
             raise ZeroDivisorError(
                 f"element with gcd {g} against the modulus is not a unit")
-        return self.algebra.element(s % self.algebra.p)
+        return self.evaluate_poly(UniPoly(chi.coeffs[1:])) * (-1 / chi[0])
 
     def __truediv__(self, other) -> "AlgElement":
         return self * self._coerce(other).inverse()
 
     def is_zero(self) -> bool:
-        return self.poly.is_zero()
+        return not any(self.num)
 
     def is_unit(self) -> bool:
-        return self.poly.gcd(self.algebra.p).degree == 0
+        """A is a product of fields, so the units are the elements of
+        nonzero norm."""
+        return self.norm() != 0
 
     def trace(self) -> Fraction:
-        """sum_k x_k Tr(r^k)."""
-        return sum((c * s for c, s in zip(self.poly.coeffs,
-                                          self.algebra.power_sums)),
-                   Fraction(0))
+        """sum_k x_k Tr(r^k): one integer dot product over den times the
+        power sums' denominator."""
+        algebra = self.algebra
+        return Fraction(sum(map(mul, self.num, algebra.power_sum_num)),
+                        self.den * algebra.power_sum_den)
 
     def norm(self) -> Fraction:
         """-chi(0): the product of the five conjugates."""
         return -self.charpoly_of()[0]
 
     def charpoly_of(self) -> UniPoly:
-        """Newton's identities applied to Tr(x^k), k = 1..5."""
+        """Newton's identities applied to Tr(x^k), k = 1..5; its roots are
+        the images of self under the five embeddings."""
         traces = [self.trace()]
         power = self
         for _ in range(DEGREE - 1):
             power = power * self
             traces.append(power.trace())
         return _newton_charpoly(traces)
-
-    def conjugate_data(self) -> UniPoly:
-        """Characteristic polynomial; its roots are the images of self
-        under the five embeddings."""
-        return self.charpoly_of()
 
     def is_generator(self) -> bool:
         return self.charpoly_of().is_squarefree()
@@ -244,11 +333,12 @@ class AlgElement:
 
     def __eq__(self, other):
         return (isinstance(other, AlgElement)
-                and self.algebra.p == other.algebra.p
-                and self.poly == other.poly)
+                and self.num == other.num and self.den == other.den
+                and (self.algebra is other.algebra
+                     or self.algebra.p == other.algebra.p))
 
     def __hash__(self):
-        return hash((self.algebra.p, self.poly))
+        return hash((self.algebra.p, self.num, self.den))
 
     def __repr__(self):
         return f"AlgElement({self.poly})"

@@ -7,8 +7,9 @@ quintic (cycle type, per block of tritangent planes) plus one gcd per part
 that counts the residue fields in which the splitting element is a square
 (cycle signs); no part is split into its irreducible factors.  The
 splitting element is the discriminant-adjusted radicand class from the
-descent report; its total sign is +1 at every good prime, matching the
-even-sign group that acts on the lines.
+descent report, written as a polynomial in m = -b/a like the factors;
+its total sign is +1 at every good prime, matching the even-sign group
+that acts on the lines.
 
 Point counts and singular points share one kernel: on each affine chart
 of P^(n-1)(F_p) the residue coefficient maps of the forms are evaluated
@@ -31,7 +32,7 @@ from .descent import RadicandReport
 from .errors import BadPrimeError, BudgetExceededError
 from .forms import CubicForm4
 from .gfpoly import (gp_distinct_degree, gp_gcd, gp_is_squarefree, gp_pow_mod,
-                     gp_sub)
+                     gp_scale, gp_sub)
 from .intfactor import primes_up_to
 from .lines27 import (GroupElt, anchored_class_members, class_representative,
                       minimal_cover_subgroup, orbits, pic_trace_of_class)
@@ -155,17 +156,22 @@ def _horner_mod_p(coeffs: dict, y, p: int):
     (one array per exponent slot).  Horner in the last coordinate: the
     terms are grouped by its exponent, each group is evaluated the same
     way on the grid of the remaining coordinates, and the groups are
-    combined with one broadcast multiply-add per degree, reduced mod p.
-    Every value stays below p^2, so p < 2 * 10^9 keeps int64 exact."""
+    combined in one accumulator over the grid of y, updated in place by
+    one multiply, one add and one reduction mod p per degree.  Every
+    value stays below p^2 + p, so p < 2 * 10^9 keeps int64 exact."""
     if not y or not coeffs:
         return sum(coeffs.values()) % p
     groups = {}
     for e, c in coeffs.items():
         groups.setdefault(e[-1], {})[e[:-1]] = c
-    acc = 0
-    for d in range(max(groups), -1, -1):
-        acc = (acc * y[-1]
-               + _horner_mod_p(groups.get(d, {}), y[:-1], p)) % p
+    top = max(groups)
+    acc = np.empty(np.broadcast_shapes(*(a.shape for a in y)), dtype=np.int64)
+    acc[...] = _horner_mod_p(groups[top], y[:-1], p)
+    for d in range(top - 1, -1, -1):
+        acc *= y[-1]
+        if d in groups:
+            acc += _horner_mod_p(groups[d], y[:-1], p)
+        acc %= p
     return acc
 
 
@@ -260,23 +266,27 @@ def frobenius_class_anchored(report: RadicandReport, q: int):
     """Cycle/sign data anchored to the rational irreducible factors of
     the quintic (each factor is a Galois orbit of tritangent planes):
     the distinct-degree parts of each factor mod q give the cycle
-    lengths, and one gcd per part the cycle signs.  An irreducible factor
-    of degree d of a part g is a + cycle when the splitting element e is
-    a square in its residue field, i.e. divides e^((q^d - 1)/2) - 1; so
-    the part has deg gcd(e^((q^d - 1)/2) - 1, g) / d + cycles.
+    lengths, and one gcd per part the cycle signs.  The factors are
+    polynomials in m = -b/a, so the splitting element is read as
+    e = psi_e(m), its integer numerators reduced mod q and scaled by one
+    inverse of its denominator.  An irreducible factor of degree d of a
+    part g is a + cycle when e is a square in its residue field, i.e.
+    divides e^((q^d - 1)/2) - 1; so the part has
+    deg gcd(e^((q^d - 1)/2) - 1, g) / d + cycles.
 
     Returns (block_sizes, per-block parts) in the canonical factor order
     of factor_unipoly."""
     if not good_prime(report, q):
         raise BadPrimeError(f"{q} is not a good prime for this input")
-    elt_poly = [_reduce_fraction(c, q)
-                for c in report.splitting_element.poly.coeffs]
+    psi = report.splitting_psi
+    elt_poly = gp_scale(psi.num, pow(psi.den, -1, q), q)
     block_sizes = []
     blocks = []
-    for fk, mult in report.rational_factors:
+    for (fk, mult), (num, den) in zip(report.rational_factors,
+                                      report.factor_numerators):
         assert mult == 1
         block_sizes.append(fk.degree)
-        fq = [_reduce_fraction(c, q) for c in fk.coeffs]
+        fq = gp_scale(num, pow(den, -1, q), q)
         if not gp_is_squarefree(fq, q):
             raise BadPrimeError(f"factor not squarefree mod {q}")
         parts = []

@@ -53,7 +53,6 @@ def test_constructor_validation():
 def test_charpoly_of_r_is_p(paper_p):
     A = EtaleAlgebra(paper_p)
     assert A.r.charpoly_of() == paper_p
-    assert A.r.conjugate_data() == paper_p
 
 
 def test_paper_trace_and_norm(paper_p):

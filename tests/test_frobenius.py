@@ -79,16 +79,18 @@ def test_bad_primes_rejected(paper_strategy):
 
 def test_sign_well_defined_under_representative_change(paper_strategy):
     # two representatives of the splitting element differing by a
-    # multiple of p give identical classes
+    # multiple of p (and of psi_e by one of chi_m) give identical classes
     from cubicdescent.descent import RadicandReport
 
     _, rep = paper_strategy
     A = rep.rho.algebra
+    B = rep.splitting_psi.algebra
     shifted = RadicandReport(
         rho=rep.rho, conj_poly=rep.conj_poly,
         tritangent_poly=rep.tritangent_poly, entries=rep.entries,
         norm_rho=rep.norm_rho, disc_tritangent=rep.disc_tritangent,
-        splitting_element=A.element(rep.splitting_element.poly + A.p * 3))
+        splitting_element=A.element(rep.splitting_element.poly + A.p * 3),
+        splitting_psi=B.element(rep.splitting_psi.poly + B.p * 3))
     for q in (7, 11, 13):
         assert frobenius_class(rep, q) == frobenius_class(shifted, q)
 

@@ -1,6 +1,7 @@
 """One reading per prime: the plain Frobenius class is the union of the
-block-anchored parts, the per-report values are computed once, and the
-reading makes no random split."""
+block-anchored parts, the per-report values are computed once, the
+reading makes no random split, and under a custom x it reads the
+splitting element as a polynomial in m = -b/a."""
 
 import random
 from fractions import Fraction
@@ -8,13 +9,15 @@ from fractions import Fraction
 import pytest
 
 from cubicdescent import descent, gfpoly, polyfactor
-from cubicdescent.descent import run_strategy
+from cubicdescent.descent import run_strategy, strategy_ab
 from cubicdescent.errors import CubicDescentError
+from cubicdescent.etale import EtaleAlgebra
 from cubicdescent.frobenius import (_reduce_fraction, frobenius_class,
                                     frobenius_class_anchored, good_prime,
                                     sample_frobenius)
 from cubicdescent.gfpoly import gp_factor_squarefree, gp_pow_mod
 from cubicdescent.intfactor import primes_up_to
+from cubicdescent.linalg import Matrix, solve_linear
 from cubicdescent.unipoly import UniPoly
 
 from conftest import PAPER_P, random_squarefree_quintic
@@ -149,3 +152,54 @@ def test_good_prime_is_one_remainder():
         assert not verdicts[0]                  # q = 2
         bad += verdicts.count(False) - 1
     assert bad > 0
+
+
+def psi_e_oracle(quintic, x, rep):
+    """The splitting element as a polynomial in m = -b/a: solve
+    e = sum_i psi_i m^i in Fractions."""
+    A = EtaleAlgebra(quintic)
+    a, b = strategy_ab(A, A.element(x))
+    m = -(b / a)
+    powers = [A.one()]
+    for _ in range(4):
+        powers.append(powers[-1] * m)
+    cols = [w.coords() for w in powers]
+    return solve_linear(Matrix(5, 5, [cols[j][i] for i in range(5)
+                                      for j in range(5)]),
+                        rep.splitting_element.coords())
+
+
+@pytest.mark.parametrize("x", [[1, 1], [0, 1, 1]], ids=["r+1", "r^2+r"])
+def test_custom_x_reading_matches_oracle(x):
+    """Under x != r the factors of chi_m are polynomials in m, so the sign
+    of a cycle is Euler's criterion for psi_e, the splitting element as a
+    polynomial in m, in each residue field of each factor mod q."""
+    _, rep = run_strategy(PAPER_P, x=x)
+    psi = psi_e_oracle(PAPER_P, x, rep)
+    assert rep.splitting_psi.coords() == psi
+    good = [q for q in primes_up_to(500) if good_prime(rep, q)]
+    assert len(good) > 80
+    for q in good:
+        pe = gfpoly.gp_trim([_reduce_fraction(c, q) for c in psi])
+        blocks, total = [], 1
+        for fk, _ in rep.rational_factors:
+            parts = []
+            for f in gp_factor_squarefree(
+                    [_reduce_fraction(c, q) for c in fk.coeffs], q):
+                d = len(f) - 1
+                square = gp_pow_mod(pe, (q ** d - 1) // 2, f, q) == [1]
+                parts.append((d, 1 if square else -1))
+                total *= parts[-1][1]
+            blocks.append(tuple(sorted(parts)))
+        assert total == 1
+        assert frobenius_class_anchored(rep, q)[1] == tuple(blocks)
+    sr = sample_frobenius(rep)
+    assert sr.primes == good[:40]
+    assert sr.subgroup_order == 16
+
+
+@pytest.mark.parametrize("quintic", QUINTICS, ids=list(FITS))
+def test_default_x_psi_is_the_splitting_element(quintic):
+    _, rep = run_strategy(quintic)
+    assert rep.splitting_psi.algebra.p == rep.tritangent_poly == quintic
+    assert rep.splitting_psi.coords() == rep.splitting_element.coords()
