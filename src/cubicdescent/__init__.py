@@ -28,7 +28,7 @@ from .ideals import GroebnerBasis, MPoly, buchberger, is_unit_ideal, \
 from .intfactor import is_perfect_square, squarefree_class, squarefree_part
 from .linalg import Matrix, charpoly, det, rank, solve_linear
 from .pointsearch import SearchResult, brute_force_search, search, \
-    search_parallel, verify_point
+    verify_point
 from .polyfactor import factor_unipoly, rational_roots
 from .unipoly import UniPoly
 
@@ -46,7 +46,7 @@ __all__ = [
     "strategy_ab", "radicand_report", "run_strategy",
     "CubicSurface", "TritangentEntry", "cubic_to_dp4", "dp4_to_cubic",
     "roundtrip_check", "tritangent_analysis", "greedy_reduce",
-    "SearchResult", "search", "search_parallel", "brute_force_search",
+    "SearchResult", "search", "brute_force_search",
     "verify_point",
     "MPoly", "GroebnerBasis", "buchberger", "is_unit_ideal",
     "smooth_cubic", "smooth_dp4",

@@ -3,15 +3,12 @@
 Commands: descend, convert, search-points, tritangents, verify, frobenius,
 reduce, pipeline.  All input and output is JSON (see serialize); errors
 map to stable exit codes, one per library error class (table in README).
-The CUBICDESCENT_WORKERS environment variable sets the process count for
-the point search.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -24,7 +21,7 @@ from .frobenius import sample_frobenius
 from .geometry import (CubicSurface, cubic_to_dp4, dp4_to_cubic, greedy_reduce,
                        tritangent_analysis, tritangent_square_product)
 from .ideals import smooth_cubic, smooth_dp4
-from .pointsearch import search, search_parallel
+from .pointsearch import search
 from .serialize import (emit_cubic, emit_dp4, emit_frobenius_report,
                         emit_point, emit_radicand_report,
                         emit_search_result, emit_tritangent_report,
@@ -77,13 +74,6 @@ def _write_json(obj, path: str | None):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CUBICDESCENT_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_descend(args) -> int:
@@ -143,11 +133,7 @@ def cmd_convert(args) -> int:
 
 def cmd_search_points(args) -> int:
     v = parse_dp4(_read_json(args.input))
-    workers = args.workers or _workers()
-    if workers > 1:
-        res = search_parallel(v, args.height, workers=workers)
-    else:
-        res = search(v, args.height)
+    res = search(v, args.height)
     for p in res.points:
         print(json.dumps(emit_point(p)))
     _write_json(emit_search_result(res), args.output)
@@ -240,7 +226,7 @@ def run_pipeline(config: dict, report: dict | None = None) -> dict:
     report["radicands"] = emit_radicand_report(radicands)
 
     t0 = time.monotonic()
-    found = search_parallel(surface, height, workers=_workers())
+    found = search(surface, height)
     timings["search_ms"] = round((time.monotonic() - t0) * 1000, 3)
     report["search"] = emit_search_result(found)
     if not found.points:
@@ -305,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-points", help="bounded-height point search")
     common(p)
     p.add_argument("--height", "-H", type=int, required=True)
-    p.add_argument("--workers", type=int, default=0,
-                   help="process count (default: CUBICDESCENT_WORKERS or 1)")
     p.set_defaults(func=cmd_search_points)
 
     p = sub.add_parser("tritangents", help="degenerate pencil members")

@@ -19,10 +19,10 @@ from functools import cached_property
 
 from .errors import (DegeneratePencilError, DependentFormsError,
                      NonGeneratorError, ZeroDivisorError)
-from .etale import (DEGREE, AlgElement, EtaleAlgebra,
-                    over_common_denominator)
+from .etale import DEGREE, AlgElement, EtaleAlgebra
 from .forms import BinaryQuintic, QuadForm, p1_normalize, pencil_determinant
-from .intfactor import is_perfect_square, squarefree_class
+from .intfactor import (is_perfect_square, over_common_denominator,
+                        squarefree_class)
 from .linalg import Matrix, det, rank, solve_linear
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly

@@ -23,24 +23,17 @@ is nonzero, and its inverse comes from its characteristic polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import NonGeneratorError, NotEtaleError, ZeroDivisorError
+from .intfactor import over_common_denominator
 from .unipoly import UniPoly
 
 DEGREE = 5
 #: power sums kept per algebra: trace forms Tr(w c_j c_k) on the power
 #: basis reach r^(3 * (DEGREE - 1))
 POWER_SUM_COUNT = 3 * (DEGREE - 1) + 1
-
-
-def over_common_denominator(values) -> tuple:
-    """(numerators, denominator): the rationals `values` written over
-    their least common denominator."""
-    values = [Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _newton_power_sums(p_num, count: int) -> tuple:

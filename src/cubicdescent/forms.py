@@ -9,18 +9,12 @@ integer vectors with the first nonzero coordinate positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import PreconditionError, ZeroPolynomialError
+from .intfactor import as_fraction, primitive_part
 from .linalg import Matrix, det, nullspace, rank
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 def monomials_deg3() -> list:
@@ -62,7 +56,7 @@ class QuadForm:
         """Build from {(i, j): c} polynomial coefficients of x_i x_j, i <= j."""
         g = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), c in coeffs.items():
-            c = _frac(c)
+            c = as_fraction(c)
             if i == j:
                 g[i][i] += c
             else:
@@ -88,7 +82,7 @@ class QuadForm:
 
     @classmethod
     def diagonal(cls, values) -> "QuadForm":
-        return cls(Matrix.diagonal([_frac(v) for v in values]))
+        return cls(Matrix.diagonal([as_fraction(v) for v in values]))
 
     def upper_coeffs(self) -> list:
         """Row-major upper-triangular polynomial coefficients."""
@@ -99,12 +93,12 @@ class QuadForm:
         return out
 
     def evaluate(self, point) -> Fraction:
-        v = [_frac(x) for x in point]
+        v = [as_fraction(x) for x in point]
         gv = self.gram.mul_vec(v)
         return sum(a * b for a, b in zip(v, gv))
 
     def gradient(self, point) -> tuple:
-        v = [_frac(x) for x in point]
+        v = [as_fraction(x) for x in point]
         return tuple(2 * x for x in self.gram.mul_vec(v))
 
     def substitute(self, change: Matrix) -> "QuadForm":
@@ -132,30 +126,18 @@ class LinForm:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_frac(x) for x in coeffs)
+        self.coeffs = tuple(as_fraction(x) for x in coeffs)
         self.n = len(self.coeffs)
 
     def evaluate(self, point) -> Fraction:
-        return sum(c * _frac(x) for c, x in zip(self.coeffs, point))
+        return sum(c * as_fraction(x) for c, x in zip(self.coeffs, point))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def primitive(self) -> "LinForm":
         """Integer model with content 1 and positive leading coefficient."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g == 0:
-            return LinForm(ints)
-        for v in ints:
-            if v:
-                if v < 0:
-                    g = -g
-                break
-        return LinForm([v // g for v in ints])
+        return LinForm(primitive_part(self.coeffs)[1])
 
     def __eq__(self, other):
         return isinstance(other, LinForm) and self.coeffs == other.coeffs
@@ -191,7 +173,7 @@ class CubicForm4:
             e = tuple(int(v) for v in e)
             if len(e) != 4 or any(v < 0 for v in e) or sum(e) != 3:
                 raise PreconditionError(f"bad exponent tuple {e}")
-            c = _frac(c)
+            c = as_fraction(c)
             if c != 0:
                 clean[e] = clean.get(e, Fraction(0)) + c
         self.coeffs = {e: c for e, c in clean.items() if c != 0}
@@ -200,7 +182,7 @@ class CubicForm4:
         return not self.coeffs
 
     def evaluate(self, point) -> Fraction:
-        return _eval_map(self.coeffs, [_frac(x) for x in point])
+        return _eval_map(self.coeffs, [as_fraction(x) for x in point])
 
     def partials(self) -> list:
         """The four partial derivatives dF/dx_i as coefficient maps
@@ -209,7 +191,7 @@ class CubicForm4:
                  for e, c in self.coeffs.items() if e[i]} for i in range(4)]
 
     def gradient(self, point) -> tuple:
-        v = [_frac(x) for x in point]
+        v = [as_fraction(x) for x in point]
         return tuple(_eval_map(d, v) for d in self.partials())
 
     def substitute(self, change: Matrix) -> "CubicForm4":
@@ -239,18 +221,12 @@ class CubicForm4:
         return CubicForm4(out)
 
     def primitive_coeffs(self):
-        """(content, integer coefficient map) with content * ints == self."""
-        if not self.coeffs:
-            return Fraction(0), {}
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
-        ints = {e: int(c * den) for e, c in self.coeffs.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        lead = ints[max(ints)]
-        if lead < 0:
-            g = -g
-        return Fraction(g, den), {e: v // g for e, v in ints.items()}
+        """(content, integer coefficient map) with content * ints == self,
+        the coefficient at the largest exponent positive; the map runs in
+        descending exponent order."""
+        exps = sorted(self.coeffs, reverse=True)
+        content, ints = primitive_part(self.coeffs[e] for e in exps)
+        return content, dict(zip(exps, ints))
 
     def max_abs_coeff(self) -> Fraction:
         if not self.coeffs:
@@ -277,20 +253,9 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        v = [_frac(x) for x in coords]
-        if all(x == 0 for x in v):
+        content, ints = primitive_part(coords)
+        if not content:
             raise PreconditionError("projective point needs a nonzero coordinate")
-        den = lcm(*(x.denominator for x in v))
-        ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        ints = [x // g for x in ints]
-        for x in ints:
-            if x:
-                if x < 0:
-                    ints = [-y for y in ints]
-                break
         self.coords = tuple(ints)
 
     def __len__(self):
@@ -410,11 +375,7 @@ class ProjLine:
             r += 1
             if r == 2:
                 break
-        out = []
-        for row in rows:
-            den = lcm(*(x.denominator for x in row))
-            out.append(tuple(int(x * den) for x in row))
-        return tuple(out)
+        return tuple(tuple(primitive_part(row)[1]) for row in rows)
 
     def __eq__(self, other):
         return isinstance(other, ProjLine) and self.canonical_key() == other.canonical_key()
@@ -436,13 +397,13 @@ class BinaryQuintic:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [_frac(c) for c in coeffs]
+        coeffs = [as_fraction(c) for c in coeffs]
         if len(coeffs) != 6:
             raise PreconditionError("binary quintic needs 6 coefficients")
         self.coeffs = tuple(coeffs)
 
     def evaluate(self, lam, mu) -> Fraction:
-        lam, mu = _frac(lam), _frac(mu)
+        lam, mu = as_fraction(lam), as_fraction(mu)
         return sum(c * lam ** k * mu ** (5 - k) for k, c in enumerate(self.coeffs))
 
     def dehomogenized(self) -> UniPoly:
@@ -488,29 +449,10 @@ class BinaryQuintic:
 def p1_normalize(lam, mu) -> tuple:
     """Canonical integer representative of (lam : mu) in P^1: primitive,
     mu > 0, or (1, 0) for the point at infinity."""
-    lam, mu = _frac(lam), _frac(mu)
-    if lam == 0 and mu == 0:
+    content, (b, a) = primitive_part((mu, lam))
+    if not content:
         raise PreconditionError("(0 : 0) is not a point of P^1")
-    den = lcm(lam.denominator, mu.denominator)
-    a, b = int(lam * den), int(mu * den)
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    if b < 0 or (b == 0 and a < 0):
-        a, b = -a, -b
     return (a, b)
-
-
-def evaluate(form, point) -> Fraction:
-    """Exact value of a quadratic, cubic, or linear form at a point."""
-    return form.evaluate(point)
-
-
-def gradient(form, point) -> tuple:
-    return form.gradient(point)
-
-
-def substitute(form, change: Matrix):
-    return form.substitute(change)
 
 
 def contains_point(form, point) -> bool:

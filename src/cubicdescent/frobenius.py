@@ -25,7 +25,6 @@ bad_prime_product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import numpy as np
 
 from .descent import RadicandReport
@@ -33,7 +32,7 @@ from .errors import BadPrimeError, BudgetExceededError
 from .forms import CubicForm4
 from .gfpoly import (gp_distinct_degree, gp_gcd, gp_is_squarefree, gp_pow_mod,
                      gp_scale, gp_sub)
-from .intfactor import primes_up_to
+from .intfactor import over_common_denominator, primes_up_to
 from .lines27 import (GroupElt, anchored_class_members, class_representative,
                       minimal_cover_subgroup, orbits, pic_trace_of_class)
 DEFAULT_BUDGET = 100_000_000
@@ -71,16 +70,15 @@ class FrobClass:
         return pic_trace_of_class(self.parts)
 
 
-def _reduce_fraction(c: Fraction, p: int) -> int:
-    c = Fraction(c)
-    if c.denominator % p == 0:
-        raise BadPrimeError(f"denominator divisible by {p}")
-    return c.numerator * pow(c.denominator, p - 2, p) % p
-
-
 def _residues(coeffs: dict, p: int) -> dict:
-    """The nonzero residues {exponent: c mod p} of a coefficient map."""
-    return {e: v for e, c in coeffs.items() if (v := _reduce_fraction(c, p))}
+    """The nonzero residues {exponent: c mod p} of a coefficient map: its
+    numerators over the common denominator times that denominator's
+    inverse mod p."""
+    nums, den = over_common_denominator(coeffs.values())
+    if den % p == 0:
+        raise BadPrimeError(f"denominator divisible by {p}")
+    inv = pow(den, -1, p)
+    return {e: v for e, n in zip(coeffs, nums) if (v := n * inv % p)}
 
 
 def _reduce_map(coeffs: dict, p: int, what: str) -> dict:

@@ -429,11 +429,6 @@ def _size(values):
     return (max(abs(v) for v in values), sum(v * v for v in values))
 
 
-def _objective(F: CubicForm4):
-    _, ints = F.primitive_coeffs()
-    return _size(ints.values())
-
-
 def greedy_reduce(S: CubicSurface) -> CubicSurface:
     """Hill-climb over integral changes of variables, accepting a move iff
     it strictly lowers (max |coefficient|, sum of squares); deterministic

@@ -13,10 +13,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm as int_lcm
 
 from .errors import PreconditionError, ZeroPolynomialError
 from .forms import CubicForm4, monomials_deg3
+from .intfactor import primitive_part
 from .linalg import Matrix, rank, rank_mod_p
 
 #: the prime of the modular rank in smooth_cubic
@@ -120,16 +120,10 @@ class MPoly:
         """Primitive integer form with positive leading coefficient."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = int_lcm(den, c.denominator)
-        ints = {e: int(c * den) for e, c in self.terms.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if ints[self.lm()] < 0:
-            g = -g
-        return MPoly(self.nvars, {e: Fraction(v, g) for e, v in ints.items()})
+        lm = self.lm()
+        exps = [lm] + [e for e in self.terms if e != lm]
+        _, ints = primitive_part(self.terms[e] for e in exps)
+        return MPoly(self.nvars, dict(zip(exps, ints)))
 
     def monic(self) -> "MPoly":
         c = self.lc()

@@ -1,21 +1,56 @@
-"""Integer squarefree parts and the factoring machinery behind them.
+"""Integers behind rationals: the integer model of a rational vector,
+integer squarefree parts and the factoring machinery behind them.
 
-Trial division up to a configurable bound, then Brent-cycle Pollard rho
-with Miller-Rabin primality testing.  A cofactor that resists factoring
-is returned flagged, never silently treated as prime or squarefree.
+A rational vector taken up to scale (a projective point, a form, a
+polynomial) is modelled by its primitive part: coprime integers with the
+first nonzero entry positive.  A caller whose convention puts another
+entry first passes its values in that order.
+
+Squarefree parts use trial division up to a configurable bound, then
+Brent-cycle Pollard rho with Miller-Rabin primality testing.  A cofactor
+that resists factoring is returned flagged, never silently treated as
+prime or squarefree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3e24; for larger
 # inputs the same bases make the test probabilistic with negligible error.
 _MR_BASES = _SMALL_PRIMES
+
+
+def as_fraction(x) -> Fraction:
+    """x as a Fraction, without a copy when it is one already."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x)
+
+
+def over_common_denominator(values) -> tuple:
+    """(numerators, denominator): the rationals `values` written over
+    their least common denominator."""
+    values = [as_fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def primitive_part(values) -> tuple:
+    """(content, ints) with values == content * ints: ints are coprime
+    integers whose first nonzero entry is positive, content a Fraction.
+    A zero vector gives content 0 and zeros."""
+    nums, den = over_common_denominator(values)
+    g = gcd(*nums)
+    if g == 0:
+        return Fraction(0), nums
+    if next(v for v in nums if v) < 0:
+        g = -g
+    return Fraction(g, den), [v // g for v in nums]
 
 
 def is_square_int(n: int) -> bool:

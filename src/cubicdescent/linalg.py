@@ -11,18 +11,12 @@ scan order, which makes all derived canonical choices reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 
 from .errors import NonSquareMatrixError, SingularMatrixError
+from .intfactor import as_fraction, over_common_denominator, primitive_part
 from .unipoly import UniPoly
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 class Matrix:
@@ -31,7 +25,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(_frac(x) for x in entries)
+        entries = tuple(as_fraction(x) for x in entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
@@ -59,7 +53,7 @@ class Matrix:
     def diagonal(cls, values) -> "Matrix":
         values = list(values)
         n = len(values)
-        return cls(n, n, [_frac(values[i]) if i == j else Fraction(0)
+        return cls(n, n, [as_fraction(values[i]) if i == j else Fraction(0)
                           for i in range(n) for j in range(n)])
 
     def __getitem__(self, ij) -> Fraction:
@@ -90,7 +84,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, [-a for a in self._e])
 
     def scale(self, c) -> "Matrix":
-        c = _frac(c)
+        c = as_fraction(c)
         return Matrix(self.rows, self.cols, [c * a for a in self._e])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -105,7 +99,7 @@ class Matrix:
         return Matrix(self.rows, other.cols, out)
 
     def mul_vec(self, v) -> tuple:
-        v = [_frac(x) for x in v]
+        v = [as_fraction(x) for x in v]
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols))
@@ -142,9 +136,8 @@ def _integer_rows(m: Matrix):
     """
     rows, mults = [], []
     for i in range(m.rows):
-        r = m.row(i)
-        d = lcm(*(x.denominator for x in r)) if r else 1
-        rows.append([int(x * d) for x in r])
+        ints, d = over_common_denominator(m.row(i))
+        rows.append(ints)
         mults.append(d)
     return rows, mults
 
@@ -268,7 +261,7 @@ def solve_linear(m: Matrix, rhs) -> list | None:
     Underdetermined systems get the canonical solution with all free
     variables (non-pivot columns under deterministic elimination) set to 0.
     """
-    rhs = [_frac(x) for x in rhs]
+    rhs = [as_fraction(x) for x in rhs]
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
     aug = Matrix(m.rows, m.cols + 1,
@@ -310,19 +303,7 @@ def nullspace(m: Matrix) -> list:
                 if rows[pr][j] and v[j]:
                     s -= rows[pr][j] * v[j]
             v[pc] = s / rows[pr][pc]
-        d = lcm(*(x.denominator for x in v))
-        w = [int(x * d) for x in v]
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        if g:
-            w = [x // g for x in w]
-        for x in w:
-            if x:
-                if x < 0:
-                    w = [-y for y in w]
-                break
-        basis.append(tuple(w))
+        basis.append(tuple(primitive_part(v)[1]))
     return basis
 
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from .descent import DP4Surface
-from .forms import ProjPoint, QuadForm
+from .forms import ProjPoint
+from .intfactor import primitive_part
 
 #: moduli of the residue sieve (see _residue_table)
 SIEVE_PRIMES = (3, 5, 7, 11, 13)
@@ -61,18 +62,10 @@ def verify_point(V: DP4Surface, P) -> bool:
 
 def _int_quadrics(V: DP4Surface):
     """Integer polynomial coefficient dicts {(i,j): int} of both quadrics,
-    scaled independently."""
+    each the primitive part of its form (scaling a form keeps its zeros)."""
     index = [(i, j) for i in range(5) for j in range(i, 5)]
-    out = []
-    for q in (V.Q0, V.Q1):
-        upper = q.upper_coeffs()
-        den = lcm(*(c.denominator for c in upper))
-        ints = [int(c * den) for c in upper]
-        g = gcd(*ints)
-        if g:
-            ints = [v // g for v in ints]
-        out.append(dict(zip(index, ints)))
-    return out
+    return [dict(zip(index, primitive_part(q.upper_coeffs())[1]))
+            for q in (V.Q0, V.Q1)]
 
 
 def _eval_int(cs: dict, x) -> int:
@@ -195,13 +188,8 @@ def _residue_table(c0: dict, c1: dict, ell: int) -> np.ndarray:
     return hit != 0
 
 
-def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
-    """All points of V with primitive-representative height <= H.
-
-    x0_range optionally restricts the outer x0 loop to [lo, hi] (used for
-    partitioned runs; the x0 = 0 strata belong to the partition
-    containing 0).
-    """
+def search(V: DP4Surface, H: int) -> SearchResult:
+    """All points of V with primitive-representative height <= H."""
     if H < 1:
         raise ValueError("height bound must be >= 1")
     t0 = time.monotonic()
@@ -236,9 +224,7 @@ def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
         k, col = np.nonzero(np.unpackbits(rows[live], axis=1, count=width))
         return live[k], col
 
-    lo, hi = (0, H) if x0_range is None else x0_range
-    lo = max(lo, 0)
-    for x0 in range(lo, hi + 1):
+    for x0 in range(H + 1):
         # stage 1: the x2 rows of every x1 against T3[x0 mod ell]
         rows = None
         for ell, res, _, x2rows in sieve:
@@ -270,36 +256,3 @@ def search(V: DP4Surface, H: int, x0_range=None) -> SearchResult:
 
     pts = sorted(found)
     return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)
-
-
-def search_parallel(V: DP4Surface, H: int, workers: int = 1) -> SearchResult:
-    """Partition the x0 range across processes and merge.
-
-    Falls back to the serial kernel for workers <= 1.
-    """
-    if workers <= 1:
-        return search(V, H)
-    t0 = time.monotonic()
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = []
-    step = (H + 1 + workers - 1) // workers
-    a = 0
-    while a <= H:
-        bounds.append((a, min(a + step - 1, H)))
-        a += step
-    merged: set = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_search_worker, V.Q0.upper_coeffs(),
-                               V.Q1.upper_coeffs(), H, lohi)
-                   for lohi in bounds]
-        for fut in futures:
-            merged.update(ProjPoint(c) for c in fut.result())
-    pts = sorted(merged)
-    return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)
-
-
-def _search_worker(upper0, upper1, H, lohi):
-    V = DP4Surface(QuadForm.from_upper(5, upper0), QuadForm.from_upper(5, upper1))
-    res = search(V, H, x0_range=lohi)
-    return [p.coords for p in res.points]

@@ -13,12 +13,12 @@ never exceeds 2^8 trials.
 from __future__ import annotations
 
 from itertools import combinations, count
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import PreconditionError, ZeroPolynomialError
 from .gfpoly import (gp_add, gp_divmod, gp_factor_squarefree, gp_from_int_poly,
                      gp_is_squarefree, gp_monic, gp_mul, gp_sub, gp_xgcd)
-from .intfactor import is_probable_prime
+from .intfactor import is_probable_prime, primitive_part
 from .unipoly import UniPoly
 
 MAX_DEGREE = 8
@@ -213,7 +213,9 @@ def _zassenhaus(c: list) -> list:
                 trial = [current[-1] % m]
                 for i in subset:
                     trial = gp_mul(trial, lifted[i], m)
-                trial = _primitive_int([_sym_rem(v, m) for v in trial])
+                # primitive, with a positive leading coefficient
+                _, top = primitive_part([_sym_rem(v, m) for v in reversed(trial)])
+                trial = top[::-1]
                 dv = _int_divmod(current, trial)
                 if dv is not None and not dv[1]:
                     result.append(trial)
@@ -226,14 +228,3 @@ def _zassenhaus(c: list) -> list:
         result.append(current)
     result.sort(key=lambda f: (len(f), tuple(f)))
     return result
-
-
-def _primitive_int(c: list) -> list:
-    g = 0
-    for v in c:
-        g = gcd(g, v)
-    if g == 0:
-        return list(c)
-    if c[-1] < 0:
-        g = -g
-    return [v // g for v in c]

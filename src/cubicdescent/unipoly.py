@@ -7,15 +7,10 @@ empty tuple and has degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
 
 from .errors import ZeroPolynomialError
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+from .intfactor import as_fraction, primitive_part
 
 
 class UniPoly:
@@ -24,7 +19,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = [_frac(x) for x in coeffs]
+        c = [as_fraction(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
@@ -53,19 +48,19 @@ class UniPoly:
     def from_roots(cls, roots) -> "UniPoly":
         p = cls.one()
         for r in roots:
-            p = p * cls((-_frac(r), 1))
+            p = p * cls((-as_fraction(r), 1))
         return p
 
     @classmethod
     def interpolate(cls, ts, values) -> "UniPoly":
         """The polynomial of degree < len(ts) taking values[i] at the
         distinct nodes ts[i], by Lagrange's formula."""
-        ts = [_frac(t) for t in ts]
+        ts = [as_fraction(t) for t in ts]
         acc = cls.zero()
         for i, (ti, vi) in enumerate(zip(ts, values)):
             others = ts[:i] + ts[i + 1:]
             acc = acc + cls.from_roots(others) * (
-                _frac(vi) / prod(ti - tj for tj in others))
+                as_fraction(vi) / prod(ti - tj for tj in others))
         return acc
 
     @property
@@ -115,7 +110,7 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
-            c = _frac(other)
+            c = as_fraction(other)
             return UniPoly([c * a for a in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return UniPoly.zero()
@@ -169,7 +164,7 @@ class UniPoly:
         return (other % self).is_zero()
 
     def evaluate(self, x) -> Fraction:
-        x = _frac(x)
+        x = as_fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -233,17 +228,8 @@ class UniPoly:
         part having integer coefficients, gcd 1, and positive leading
         coefficient.
         """
-        if self.is_zero():
-            return Fraction(0), UniPoly.zero()
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        prim = UniPoly([v // g for v in ints])
-        return Fraction(g, den), prim
+        content, ints = primitive_part(reversed(self.coeffs))
+        return content, UniPoly(ints[::-1])
 
     def int_coeffs(self) -> list:
         if any(c.denominator != 1 for c in self.coeffs):

@@ -113,6 +113,12 @@ def test_cli_verify_and_search(paper_cubic, paper_dp4, tmp_path):
     streamed = [json.loads(line) for line in proc.stdout.splitlines() if line]
     assert streamed == res["points"]
 
+    # the search runs in one process; the old process-count option is gone
+    proc = _run(["search-points", "-i", str(dp4_path), "--height", "8",
+                 "--workers", "2"])
+    assert proc.returncode == 2 and not proc.stdout
+    assert "unrecognized arguments: --workers 2" in proc.stderr
+
 
 def test_cli_convert_roundtrip(paper_dp4, tmp_path):
     dp4_path = tmp_path / "dp4.json"

@@ -6,9 +6,9 @@ import pytest
 from cubicdescent.errors import PreconditionError
 from cubicdescent.forms import (CubicForm4, LinForm, ProjLine,
                                 ProjPoint, QuadForm, congruence_diagonal,
-                                contains_line, contains_point, evaluate,
-                                gradient, p1_normalize, pencil_determinant,
-                                restrict_to_hyperplane, signature, substitute)
+                                contains_line, contains_point, p1_normalize,
+                                pencil_determinant, restrict_to_hyperplane,
+                                signature)
 from cubicdescent.linalg import Matrix, det, rank
 
 from conftest import PAPER_LINE_POINTS, random_quadform
@@ -20,8 +20,8 @@ def rng():
 
 
 def test_evaluate_gradient_fermat(fermat):
-    assert evaluate(fermat, [1, -1, 0, 0]) == 0
-    assert gradient(fermat, [1, -1, 0, 0]) == (3, 3, 0, 0)
+    assert fermat.evaluate([1, -1, 0, 0]) == 0
+    assert fermat.gradient([1, -1, 0, 0]) == (3, 3, 0, 0)
 
 
 def test_partials_euler_identity(paper_cubic, rng):
@@ -47,10 +47,10 @@ def test_paper_cubic_contains_its_points(paper_cubic):
 
 def test_substitute_identity_and_swap():
     q = QuadForm.from_poly_coeffs(4, {(0, 0): 1})
-    assert substitute(q, Matrix.identity(4)) == q
+    assert q.substitute(Matrix.identity(4)) == q
     swap = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0],
                              [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert substitute(q, swap) == QuadForm.from_poly_coeffs(4, {(1, 1): 1})
+    assert q.substitute(swap) == QuadForm.from_poly_coeffs(4, {(1, 1): 1})
 
 
 def test_substitute_roundtrip_random_cubic(rng):
@@ -67,7 +67,7 @@ def test_substitute_roundtrip_random_cubic(rng):
         m = Matrix(4, 4, [rng.randint(-2, 2) for _ in range(16)])
         if det(m) != 0:
             break
-    assert substitute(substitute(f, m), inverse(m)) == f
+    assert f.substitute(m).substitute(inverse(m)) == f
 
 
 def test_restrict_examples():
@@ -138,7 +138,7 @@ def test_signature_congruence_invariance(rng):
             m = Matrix(4, 4, [rng.randint(-2, 2) for _ in range(16)])
             if det(m) != 0:
                 break
-        q2 = substitute(q, m)
+        q2 = q.substitute(m)
         assert signature(q) == signature(q2)
         assert rank(q.gram) == rank(q2.gram)
 

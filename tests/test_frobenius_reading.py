@@ -10,11 +10,10 @@ import pytest
 
 from cubicdescent import descent, gfpoly, polyfactor
 from cubicdescent.descent import run_strategy, strategy_ab
-from cubicdescent.errors import CubicDescentError
+from cubicdescent.errors import BadPrimeError, CubicDescentError
 from cubicdescent.etale import EtaleAlgebra
-from cubicdescent.frobenius import (_reduce_fraction, frobenius_class,
-                                    frobenius_class_anchored, good_prime,
-                                    sample_frobenius)
+from cubicdescent.frobenius import (frobenius_class, frobenius_class_anchored,
+                                    good_prime, sample_frobenius)
 from cubicdescent.gfpoly import gp_factor_squarefree, gp_pow_mod
 from cubicdescent.intfactor import primes_up_to
 from cubicdescent.linalg import Matrix, solve_linear
@@ -33,6 +32,14 @@ FITS = {
     "order96": UniPoly([20, -5, -1, 20, 9, 1]),
 }
 QUINTICS = list(FITS.values())
+
+
+def _reduce_fraction(c: Fraction, p: int) -> int:
+    """Oracle: one rational mod p, by its own Fermat inverse."""
+    c = Fraction(c)
+    if c.denominator % p == 0:
+        raise BadPrimeError(f"denominator divisible by {p}")
+    return c.numerator * pow(c.denominator, p - 2, p) % p
 
 
 def whole_quintic_class(rep, q):

@@ -9,8 +9,8 @@ from cubicdescent.errors import (DegenerateSurfaceError, LineNotOnSurfaceError,
 from cubicdescent.forms import (CubicForm4, LinForm, ProjLine, ProjPoint,
                                 QuadForm, contains_line, monomials_deg3,
                                 restrict_to_hyperplane, signature)
-from cubicdescent.geometry import (SHEARS, CubicSurface, _objective,
-                                   _shear, _shear_terms, cubic_to_dp4,
+from cubicdescent.geometry import (SHEARS, CubicSurface, _shear,
+                                   _shear_terms, _size, cubic_to_dp4,
                                    dp4_to_cubic, greedy_reduce,
                                    roundtrip_check, tritangent_analysis,
                                    tritangent_square_product)
@@ -178,6 +178,12 @@ def test_greedy_reduce_paper_blowup(paper_dp4):
     assert reduced.F.max_abs_coeff() <= raw.F.max_abs_coeff()
     assert reduced.known_line is not None
     assert contains_line(reduced.F, reduced.known_line)
+
+
+def _objective(F: CubicForm4):
+    """greedy_reduce's objective on the primitive integer coefficients."""
+    _, ints = F.primitive_coeffs()
+    return _size(ints.values())
 
 
 def test_signed_permutations_keep_the_objective():

@@ -1,0 +1,150 @@
+"""The one integer model of a rational vector (intfactor.primitive_part and
+over_common_denominator), the conventions its callers read off it, and the
+one reduction of a coefficient map mod p."""
+
+import ast
+import random
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from cubicdescent.errors import BadPrimeError, PreconditionError
+from cubicdescent.forms import CubicForm4, ProjPoint, p1_normalize
+from cubicdescent.frobenius import _residues
+from cubicdescent.intfactor import over_common_denominator, primitive_part
+from cubicdescent.unipoly import UniPoly
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubicdescent"
+
+
+def _big_vector(seed):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9))
+            for _ in range(6)]
+
+
+VECTORS = {
+    "empty": [],
+    "zero": [0, 0, 0],
+    "zero-fractions": [Fraction(0), Fraction(0, 7)],
+    "negative-first": [-2, 4, 0],
+    "leading-zeros": [0, 0, -6, 9, -3],
+    "mixed": [3, Fraction(-1, 2), Fraction(5, 6), 0, -7],
+    "unit": [Fraction(1, 3)],
+    "big-a": _big_vector(1),
+    "big-b": _big_vector(2),
+    "big-c": _big_vector(3),
+}
+
+
+@pytest.mark.parametrize("name", list(VECTORS))
+def test_primitive_part_and_common_denominator(name):
+    values = [Fraction(v) for v in VECTORS[name]]
+    nums, den = over_common_denominator(VECTORS[name])
+    assert den >= 1 and all(isinstance(n, int) for n in nums)
+    assert [Fraction(n, den) for n in nums] == values
+    assert all(den % v.denominator == 0 for v in values)
+    # least: no smaller positive denominator keeps the numerators integral
+    assert gcd(den, *nums) == 1
+
+    content, ints = primitive_part(VECTORS[name])
+    assert isinstance(content, Fraction)
+    assert all(isinstance(v, int) for v in ints)
+    assert [content * v for v in ints] == values
+    if any(values):
+        assert gcd(*ints) == 1
+        assert next(v for v in ints if v) > 0
+    else:
+        assert content == 0 and ints == [0] * len(values)
+
+
+def test_primitive_part_takes_any_iterable():
+    assert primitive_part(iter([4, -6])) == (Fraction(2), [2, -3])
+    assert primitive_part(v for v in (-4, 6)) == (Fraction(-2), [2, -3])
+
+
+def test_caller_conventions():
+    # projective point: first nonzero coordinate positive
+    assert ProjPoint([-2, 4, 0]).coords == (1, -2, 0)
+    assert ProjPoint([0, Fraction(-1, 2), Fraction(1, 3)]).coords == (0, 3, -2)
+    with pytest.raises(PreconditionError, match="nonzero coordinate"):
+        ProjPoint([0, 0, 0])
+    # (lam : mu): mu > 0, or (1, 0) at infinity
+    assert p1_normalize(-1, 0) == (1, 0)
+    assert p1_normalize(Fraction(1, 2), Fraction(-1, 3)) == (-3, 2)
+    assert p1_normalize(4, 6) == (2, 3)
+    # polynomial: positive leading coefficient
+    content, prim = UniPoly([Fraction(1, 2), 3, Fraction(-3, 4)]).primitive()
+    assert prim == UniPoly([-2, -12, 3]) and content == Fraction(-1, 4)
+    assert UniPoly([]).primitive() == (0, UniPoly([]))
+    # cubic: positive coefficient at the largest exponent
+    F = CubicForm4({(0, 0, 0, 3): 4, (3, 0, 0, 0): Fraction(-2, 3),
+                    (1, 1, 1, 0): 2})
+    content, ints = F.primitive_coeffs()
+    assert ints == {(3, 0, 0, 0): 1, (1, 1, 1, 0): -3, (0, 0, 0, 3): -6}
+    assert content == Fraction(-2, 3)
+    assert CubicForm4({}).primitive_coeffs() == (0, {})
+
+
+def _residue_oracle(coeffs, p):
+    """Each coefficient reduced on its own, by a Fermat inverse."""
+    out = {}
+    for e, c in coeffs.items():
+        c = Fraction(c)
+        if c.denominator % p == 0:
+            raise BadPrimeError(f"denominator divisible by {p}")
+        v = c.numerator * pow(c.denominator, p - 2, p) % p
+        if v:
+            out[e] = v
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_residues_against_per_coefficient_oracle(seed):
+    rng = random.Random(seed)
+    coeffs = {(k,): Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                             rng.choice([1, 2, 4, 9, 25, 77, 10 ** 9 + 7]))
+              for k in range(rng.randint(1, 12))}
+    coeffs[(99,)] = Fraction(0)
+    for p in (3, 5, 7, 11, 13, 31, 101):
+        try:
+            expected = _residue_oracle(coeffs, p)
+        except BadPrimeError as exc:
+            with pytest.raises(BadPrimeError, match=str(exc)):
+                _residues(coeffs, p)
+        else:
+            assert _residues(coeffs, p) == expected
+
+
+def test_residues_bad_prime_on_one_denominator():
+    coeffs = {(0,): 1, (1,): Fraction(2, 3), (2,): Fraction(5, 7)}
+    with pytest.raises(BadPrimeError, match="denominator divisible by 7"):
+        _residues(coeffs, 7)
+    # 2/3 = 2 * 2 mod 5 and 5/7 vanishes; 2/3 = 2 * 4, 5/7 = 5 * 8 mod 11
+    assert _residues(coeffs, 5) == {(0,): 1, (1,): 4}
+    assert _residues(coeffs, 11) == {(0,): 1, (1,): 8, (2,): 7}
+
+
+def _lcm_importers():
+    """Modules of the package that import math.lcm, in any spelling."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "math" \
+                    and any(a.name == "lcm" for a in node.names):
+                out.append(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "lcm" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "math":
+                out.append(path.stem)
+    return sorted(set(out))
+
+
+def test_only_intfactor_clears_denominators():
+    # a rational vector becomes integers in one place; a module that
+    # needs an lcm of denominators calls over_common_denominator or
+    # primitive_part instead
+    assert _lcm_importers() == ["intfactor"]

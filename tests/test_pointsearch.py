@@ -9,7 +9,7 @@ from cubicdescent.forms import ProjPoint, QuadForm
 from cubicdescent.pointsearch import (RESIDUE_BOUND, SIEVE_PRIMES,
                                       _eval_int, _int_quadrics,
                                       _residue_table, brute_force_search,
-                                      search, search_parallel, verify_point)
+                                      search, verify_point)
 
 from conftest import PAPER_POINT, random_dp4_with_point, random_quadform
 
@@ -64,23 +64,6 @@ def test_plane_at_infinity_strata():
     res = search(v, 2)
     assert ProjPoint([0, 0, 0, 0, 1]) in set(res.points)
     assert res.points == brute_force_search(v, 2).points
-
-
-def test_partition_independence(paper_dp4):
-    h = 12
-    whole = search(paper_dp4, h)
-    merged = set()
-    for lo, hi in ((0, 3), (4, 7), (8, 12)):
-        part = search(paper_dp4, h, x0_range=(lo, hi))
-        merged.update(part.points)
-    assert sorted(merged) == whole.points
-
-
-def test_parallel_matches_serial(paper_dp4):
-    h = 10
-    serial = search(paper_dp4, h)
-    par = search_parallel(paper_dp4, h, workers=2)
-    assert par.points == serial.points
 
 
 def test_verify_point_paper(paper_dp4):
