@@ -310,10 +310,11 @@ class AlgElement:
         """chi'(self) for chi the characteristic polynomial of self.
 
         Only defined for generators; the conjugates of the different are
-        prod_{j != i}(x_i - x_j).
+        prod_{j != i}(x_i - x_j).  The algebra's own p was found squarefree
+        when the algebra was built, so chi = p is not tested again.
         """
         chi = self.charpoly_of()
-        if not chi.is_squarefree():
+        if chi != self.algebra.p and not chi.is_squarefree():
             raise NonGeneratorError("different of a non-generator")
         return self.evaluate_poly(chi.derivative())
 

@@ -1,15 +1,17 @@
 """Finite-field reduction, point counts, line censuses, and Frobenius
 conjugacy-class sampling for descent-built surfaces.
 
-The class of Frobenius at a good odd prime q is read off the
-distinct-degree parts mod q of each rational irreducible factor of the
-quintic (cycle type, per block of tritangent planes) plus one gcd per part
-that counts the residue fields in which the splitting element is a square
-(cycle signs); no part is split into its irreducible factors.  The
-splitting element is the discriminant-adjusted radicand class from the
-descent report, written as a polynomial in m = -b/a like the factors;
-its total sign is +1 at every good prime, matching the even-sign group
-that acts on the lines.
+The class of Frobenius at a good odd prime q is read off each rational
+irreducible factor f of the quintic (a block of tritangent planes) in
+F_q[x]/(f): ranks of multiplication matrices count the roots of f in each
+F_(q^d) (cycle type) and those at which the splitting element is a square
+(cycle signs); no factor is split.  Every sampled prime is read in one
+int64 array pass per block degree, one row per (factor, prime), on the
+row kernels of gfpoly and the batched rank of linalg
+(frobenius_readings).  The splitting element is the
+discriminant-adjusted radicand class from the descent report, written as
+a polynomial in m = -b/a like the factors; its total sign is +1 at every
+good prime, matching the even-sign group that acts on the lines.
 
 Point counts and singular points share one kernel: on each affine chart
 of P^(n-1)(F_p) the residue coefficient maps of the forms are evaluated
@@ -24,15 +26,18 @@ bad_prime_product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .descent import RadicandReport
 from .errors import BadPrimeError, BudgetExceededError
 from .forms import CubicForm4
-from .gfpoly import (gp_distinct_degree, gp_gcd, gp_is_squarefree, gp_pow_mod,
-                     gp_scale, gp_sub)
+from .gfpoly import (gp_rows_apply, gp_rows_compose, gp_rows_mul,
+                     gp_rows_mul_matrix, gp_rows_pow, gp_rows_powers_of_x,
+                     gp_rows_reduce)
 from .intfactor import over_common_denominator, primes_up_to
+from .linalg import column_ranks_mod_p
 from .lines27 import (GroupElt, anchored_class_members, class_representative,
                       minimal_cover_subgroup, orbits, pic_trace_of_class)
 DEFAULT_BUDGET = 100_000_000
@@ -262,40 +267,129 @@ def frobenius_class(report: RadicandReport, q: int) -> FrobClass:
 
 def frobenius_class_anchored(report: RadicandReport, q: int):
     """Cycle/sign data anchored to the rational irreducible factors of
-    the quintic (each factor is a Galois orbit of tritangent planes):
-    the distinct-degree parts of each factor mod q give the cycle
-    lengths, and one gcd per part the cycle signs.  The factors are
-    polynomials in m = -b/a, so the splitting element is read as
-    e = psi_e(m), its integer numerators reduced mod q and scaled by one
-    inverse of its denominator.  An irreducible factor of degree d of a
-    part g is a + cycle when e is a square in its residue field, i.e.
-    divides e^((q^d - 1)/2) - 1; so the part has
-    deg gcd(e^((q^d - 1)/2) - 1, g) / d + cycles.
+    the quintic (each factor is a Galois orbit of tritangent planes): the
+    one-prime case of frobenius_readings.
 
     Returns (block_sizes, per-block parts) in the canonical factor order
-    of factor_unipoly."""
+    of factor_unipoly; raises BadPrimeError at a prime that is not good or
+    at which the reading fails."""
     if not good_prime(report, q):
         raise BadPrimeError(f"{q} is not a good prime for this input")
+    reading = frobenius_readings(report, [q])[0]
+    if isinstance(reading, BadPrimeError):
+        raise reading
+    return reading
+
+
+def frobenius_readings(report: RadicandReport, primes: list) -> list:
+    """The anchored reading at each of the good primes in the list, in one
+    batch per block degree: per prime, (block_sizes, per-block parts), or the
+    BadPrimeError of the first block whose factor is not squarefree mod q
+    or on which the splitting element vanishes mod q.  The primes must be
+    below the row kernels' bound (gfpoly), or ValueError is raised."""
+    if not primes:
+        return []
     psi = report.splitting_psi
-    elt_poly = gp_scale(psi.num, pow(psi.den, -1, q), q)
-    block_sizes = []
-    blocks = []
-    for (fk, mult), (num, den) in zip(report.rational_factors,
-                                      report.factor_numerators):
-        assert mult == 1
-        block_sizes.append(fk.degree)
-        fq = gp_scale(num, pow(den, -1, q), q)
-        if not gp_is_squarefree(fq, q):
-            raise BadPrimeError(f"factor not squarefree mod {q}")
-        parts = []
-        for g, d in gp_distinct_degree(fq, q):
-            if len(gp_gcd(elt_poly, g, q)) > 1:
-                raise BadPrimeError(f"splitting element vanishes mod {q}")
-            power = gp_pow_mod(elt_poly, (q ** d - 1) // 2, g, q)
-            plus = (len(gp_gcd(gp_sub(power, [1], q), g, q)) - 1) // d
-            parts += [(d, -1)] * ((len(g) - 1) // d - plus) + [(d, 1)] * plus
-        blocks.append(tuple(sorted(parts)))
-    return tuple(block_sizes), tuple(blocks)
+    elts = []
+    for q in primes:
+        inv = pow(psi.den, -1, q)
+        elts.append([v % q * inv % q for v in psi.num])
+    sizes = tuple(len(num) - 1 for num, _ in report.factor_numerators)
+    assert all(mult == 1 for _, mult in report.rational_factors)
+    found = {}
+    for n in sorted(set(sizes)):
+        blocks = [k for k, size in enumerate(sizes) if size == n]
+        rows = _read_blocks([report.factor_numerators[k] for k in blocks],
+                            elts, primes)
+        for i, k in enumerate(blocks):
+            found[k] = rows[i * len(primes):(i + 1) * len(primes)]
+    out = []
+    for j, q in enumerate(primes):
+        parts = [found[k][j] for k in range(len(sizes))]
+        failed = next((p for p in parts if isinstance(p, str)), None)
+        out.append(BadPrimeError(f"{failed} mod {q}") if failed
+                   else (sizes, tuple(parts)))
+    return out
+
+
+def _read_blocks(factors, elts, primes) -> list:
+    """The parts of every factor of one degree n at every prime, one row
+    per (factor, prime), factor-major; a failed row holds the reason.
+
+    In A = F_q[x]/(f), with h = x^q, Phi the Frobenius matrix (column i
+    is h^i) and e the splitting element reduced mod f, the rows carry
+    h_d = x^(q^d) = Phi h_(d-1) and E_d = e^((q^d - 1)/2)
+    = Phi(E_(d-1)) E_1 for d <= n.  M(a) is the matrix of multiplication
+    by a.  The roots of f in F_(q^d) number r_d = n - rank M(h_d - x), and
+    those at which e is a square in F_(q^d) number
+    s_d = n - rank [M(h_d - x) | M(E_d - 1)].  A root of an irreducible
+    factor of degree k | d is counted in s_d when the factor is a
+    + cycle, or when d / k is even; so with c_k^+ and c_k^- the
+    irreducible factors of degree k with e a square, or not, in their
+    residue field, upward in d:
+      d (c_d^+ + c_d^-) = r_d - sum_(k | d, k < d) k (c_k^+ + c_k^-),
+      d c_d^+ = s_d - sum_(k | d, k < d) k (c_k^+ + [d / k even] c_k^-).
+    f is squarefree mod q exactly when M(f') has full rank, and e
+    vanishes at no root exactly when M(e) does."""
+    n = len(factors[0][0]) - 1
+    f = np.array([[c % q * inv % q for c in num]
+                  for num, den in factors for q in primes
+                  for inv in (pow(den, -1, q),)], dtype=np.int64)
+    q = np.array(primes * len(factors), dtype=np.int64)
+    rows = len(q)
+    table = gp_rows_powers_of_x(f, q, max(2 * n - 1, len(elts[0])))
+    e = gp_rows_reduce(np.array(elts * len(factors), dtype=np.int64),
+                       table, q)
+    one, x = table[:, 0], table[:, 1]
+    # the two powers as one batch: x^q and e^((q - 1)/2)
+    h, e1 = np.split(gp_rows_pow(np.concatenate([x, e]),
+                                 np.concatenate([q, (q - 1) // 2]),
+                                 np.concatenate([table, table]),
+                                 np.concatenate([q, q])), 2)
+    phi = gp_rows_compose(h, table, q)
+    hs, es = [h], [e1]
+    for _ in range(n - 1):
+        hs.append(gp_rows_apply(phi, hs[-1], q))
+        es.append(gp_rows_mul(gp_rows_apply(phi, es[-1], q), e1, table, q))
+    fprime = f[:, 1:] * np.arange(1, n + 1)
+    # M(h_d - x), M(E_d - 1), M(f') and M(e) as one batch
+    elements = np.stack([hd - x for hd in hs] + [ed - one for ed in es]
+                        + [fprime, e])
+    mult = gp_rows_mul_matrix(elements % q[:, None], table, q)
+    left = np.concatenate([mult[:n], mult[2 * n:]])
+    right = np.concatenate([mult[n:2 * n], np.zeros_like(mult[2 * n:])])
+    ranks = column_ranks_mod_p(
+        np.concatenate([left, right], axis=3).reshape(-1, n, 2 * n),
+        np.tile(q, n + 2)).reshape(n + 2, rows, 2 * n)
+    roots = n - ranks[:n, :, n - 1]
+    squares = n - ranks[:n, :, -1]
+    plus, minus = {}, {}
+    for d in range(1, n + 1):
+        total, square = roots[d - 1], squares[d - 1]
+        for k in range(1, d):
+            if d % k == 0:
+                total = total - k * (plus[k] + minus[k])
+                square = square - k * (plus[k] + minus[k] * (d // k % 2 == 0))
+        plus[d] = square // d
+        minus[d] = total // d - plus[d]
+    counts = np.stack([minus[d] for d in range(1, n + 1)]
+                      + [plus[d] for d in range(1, n + 1)], axis=1).tolist()
+    squarefree, unit = ranks[n:, :, n - 1] == n
+    parts = {}
+    out = []
+    for row, c in enumerate(counts):
+        if not squarefree[row]:
+            out.append("factor not squarefree")
+        elif not unit[row]:
+            out.append("splitting element vanishes")
+        else:
+            key = tuple(c)
+            if key not in parts:
+                parts[key] = tuple(
+                    part for d in range(1, n + 1)
+                    for part in [(d, -1)] * c[d - 1] + [(d, 1)] * c[n + d - 1])
+            out.append(parts[key])
+    return out
 
 
 @dataclass
@@ -304,7 +398,9 @@ class SamplingReport:
 
     The fitted subgroup is the smallest one realizing every sampled
     anchored class (cycle data per rational factor of the quintic); the
-    identification is sampling-based, not a certificate.
+    identification is sampling-based, not a certificate.  skipped lists
+    (prime, BadPrimeError message) for every prime below the last sampled
+    one that was not sampled.
     """
 
     primes: list
@@ -314,6 +410,7 @@ class SamplingReport:
     subgroup_order: int | None
     orbit_lengths: list | None
     heuristic: bool = True
+    skipped: list = field(default_factory=list)
 
     @property
     def sample_count(self) -> int:
@@ -323,21 +420,38 @@ class SamplingReport:
 def sample_frobenius(report: RadicandReport, prime_count: int = 40,
                      prime_bound: int = 500) -> SamplingReport:
     """Classes at the first prime_count good primes below prime_bound,
-    plus the minimal subgroup realizing every sampled anchored class."""
-    primes, classes, anchored = [], [], []
+    plus the minimal subgroup realizing every sampled anchored class.
+
+    The good primes are read in chunks by frobenius_readings: the first
+    chunk holds prime_count of them, and each further one as many as
+    the primes skipped so far left missing."""
+    primes, classes, anchored, skipped = [], [], [], []
     block_sizes = None
-    for q in primes_up_to(prime_bound):
-        if len(primes) >= prime_count:
+    candidates = iter(primes_up_to(prime_bound))
+    while len(primes) < prime_count:
+        chunk = []
+        for q in candidates:
+            if good_prime(report, q):
+                chunk.append(q)
+                if len(primes) + len(chunk) == prime_count:
+                    break
+            else:
+                skipped.append((q, f"{q} is not a good prime for this input"))
+        if not chunk:
             break
-        try:
-            sizes, blocks = frobenius_class_anchored(report, q)
-            cls = FrobClass.from_blocks(blocks)
-        except BadPrimeError:
-            continue
-        primes.append(q)
-        classes.append(cls)
-        anchored.append(blocks)
-        block_sizes = sizes
+        for q, reading in zip(chunk, frobenius_readings(report, chunk)):
+            try:
+                if isinstance(reading, BadPrimeError):
+                    raise reading
+                block_sizes, blocks = reading
+                cls = FrobClass.from_blocks(blocks)
+            except BadPrimeError as err:
+                skipped.append((q, str(err)))
+                continue
+            primes.append(q)
+            classes.append(cls)
+            anchored.append(blocks)
+    skipped = sorted(s for s in skipped if primes and s[0] < primes[-1])
     distinct_plain = sorted({c.parts for c in classes})
     distinct_anchored = sorted(set(anchored))
     member_lists = [anchored_class_members(a, block_sizes)
@@ -347,10 +461,10 @@ def sample_frobenius(report: RadicandReport, prime_count: int = 40,
         elems, chosen = minimal_cover_subgroup(member_lists)
     if elems is None:
         return SamplingReport(primes, classes, distinct_plain,
-                              distinct_anchored, None, None)
+                              distinct_anchored, None, None, skipped=skipped)
     lengths = orbits(chosen)            # chosen generates elems
     return SamplingReport(primes, classes, distinct_plain, distinct_anchored,
-                          len(elems), lengths)
+                          len(elems), lengths, skipped=skipped)
 
 
 def lefschetz_check(F: CubicForm4, q: int, cls: FrobClass,

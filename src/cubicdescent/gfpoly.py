@@ -5,13 +5,26 @@ no trailing zeros ([] is the zero polynomial).  The ring kernels take any
 modulus in which every leading coefficient they divide by is a unit (a
 non-unit raises ValueError): over F_p they serve the distinct-degree and
 Cantor-Zassenhaus splits, over Z/p^k the Hensel lift of the Zassenhaus
-factoriser over Q (polyfactor).  The Frobenius reading of each rational
-factor of the quintic mod q (frobenius) uses the distinct-degree parts.
+factoriser over Q (polyfactor).
+
+The row kernels (gp_rows_*) work in one ring F_q[x]/(f) per row of an
+int64 array, each row with its own modulus q and its own monic f of the
+common degree n: an element is a row of n residues in [0, q), lowest
+degree first.  Each ring is given by its table of x^k mod f for k < L
+(gp_rows_powers_of_x, L >= 2n - 1), and a reduction is one sum of at most
+L products of two residues, so every intermediate stays below
+L * (q - 1)^2; the kernels raise ValueError unless that is below 2^63
+(q <= 1,012,333,500 for L = 9).  The Frobenius reading of each rational
+factor of the quintic at all sampled primes at once (frobenius) runs on
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+
+import numpy as np
 
 
 def gp_trim(f):
@@ -181,3 +194,109 @@ def gp_factor_squarefree(f, p):
         factors.extend(gp_equal_degree(g, d, p, rng))
     factors.sort(key=lambda h: (len(h), tuple(h)))
     return factors
+
+
+def _rows_guard(q, length: int) -> None:
+    """ValueError unless length * (q - 1)^2 < 2^63 for every modulus q."""
+    top = int(q.max())
+    if length * (top - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"row kernels with {length} powers of x need "
+                         f"{length} * (q - 1)^2 < 2^63, got q = {top}")
+
+
+def gp_rows_powers_of_x(f, q, length: int):
+    """The table of x^k mod f for k < length, an int64 array of shape
+    (rows, length, n): f is an int64 array (rows, n + 1) of monic
+    polynomials of degree n >= 1, each a row of residues mod its entry of
+    the int64 array q.  Each step multiplies by x and folds the top
+    coefficient t back as -t * f, one product of residues per entry."""
+    _rows_guard(q, length)
+    rows, n = f.shape[0], f.shape[1] - 1
+    table = np.empty((rows, length, n), dtype=np.int64)
+    cur = np.zeros((rows, n), dtype=np.int64)
+    cur[:, 0] = 1
+    for k in range(length):
+        table[:, k] = cur
+        top = cur[:, -1:].copy()
+        cur[:, 1:] = cur[:, :-1]
+        cur[:, 0] = 0
+        cur -= top * f[:, :n]
+        cur %= q[:, None]
+    return table
+
+
+def gp_rows_reduce(c, table, q):
+    """c mod f per row, for c an int64 array (rows, k) of residues with
+    k <= the table's length: sum_k c_k (x^k mod f)."""
+    _rows_guard(q, table.shape[1])
+    return _reduce(c, table, q)
+
+
+def _reduce(c, table, q):
+    return (c[:, None, :] @ table[:, :c.shape[1]])[:, 0] % q[:, None]
+
+
+@functools.cache
+def _convolution_index(n: int):
+    """idx[k, j] = k - j where that is a coefficient index of a factor of
+    degree < n, else n (a zero pad): a_pad[:, idx] @ b is the product's
+    coefficients."""
+    return np.array([[k - j if 0 <= k - j < n else n for j in range(n)]
+                     for k in range(2 * n - 1)])
+
+
+def _mul(a, b, table, q):
+    rows, n = a.shape
+    padded = np.zeros((rows, n + 1), dtype=np.int64)
+    padded[:, :n] = a
+    conv = (padded[:, _convolution_index(n)] @ b[:, :, None])[:, :, 0]
+    return _reduce(conv % q[:, None], table, q)
+
+
+def gp_rows_mul(a, b, table, q):
+    """a * b mod f per row: the product's 2n - 1 coefficients (each a sum
+    of at most n products, reduced mod q), then one reduction."""
+    _rows_guard(q, table.shape[1])
+    return _mul(a, b, table, q)
+
+
+def gp_rows_pow(a, e, table, q):
+    """a^e mod f per row, e an int64 array of nonnegative exponents, one
+    per row: square and multiply over the bits of the largest exponent,
+    each row taking the product only where its own bit is set."""
+    _rows_guard(q, table.shape[1])
+    acc = table[:, 0].copy()
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        acc = _mul(acc, acc, table, q)
+        on = ((e >> bit) & 1).astype(bool)[:, None]
+        acc = np.where(on, _mul(acc, a, table, q), acc)
+    return acc
+
+
+def gp_rows_mul_matrix(a, table, q):
+    """The matrix of multiplication by a on F_q[x]/(f), per row: column j
+    holds a * x^j mod f, the sum over i of a_i (x^(i + j) mod f).  a has
+    shape (..., rows, n), the leading axes broadcast against the rows'
+    table; the result has shape (..., rows, n, n)."""
+    _rows_guard(q, table.shape[1])
+    n = a.shape[-1]
+    return np.stack([(a[..., None, :] @ table[:, j:j + n])[..., 0, :]
+                     for j in range(n)], axis=-1) % q[:, None, None]
+
+
+def gp_rows_compose(h, table, q):
+    """The matrix of a -> a(h) mod f per row, (rows, n, n) with column i
+    holding h^i mod f.  For h = x^q it is the Frobenius matrix: a^q is
+    the matrix times a (gp_rows_apply)."""
+    _rows_guard(q, table.shape[1])
+    powers = [table[:, 0], h]
+    while len(powers) < h.shape[1]:
+        powers.append(_mul(powers[-1], h, table, q))
+    return np.stack(powers[:h.shape[1]], axis=2)
+
+
+def gp_rows_apply(m, v, q):
+    """m times v mod q per row, for m (rows, n, n) and v (rows, n) of
+    residues: a sum of n products per entry."""
+    _rows_guard(q, m.shape[-1])
+    return (m @ v[:, :, None])[:, :, 0] % q[:, None]

@@ -1,5 +1,6 @@
-"""Exact dense linear algebra over the rationals, and the rank of an
-integer matrix mod a prime (numpy, on residues below p < 2^31).
+"""Exact dense linear algebra over the rationals, and ranks of integer
+matrices mod primes (numpy, on residues below p < 2^31, a batch of
+matrices with one prime each in one elimination).
 
 Matrices are immutable with Fraction entries.  Elimination runs
 fraction-free (Bareiss) on integer-rescaled rows, so intermediate values
@@ -213,7 +214,9 @@ def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p (p prime, p < 2^31) of an integer matrix given as a
     list of rows, by Gaussian elimination on an int64 array of residues:
     every product of two residues is below 2^62.  Larger p raise
-    ValueError."""
+    ValueError.  One matrix at a time, with row swaps and a shrinking
+    block, it takes fewer array passes than column_ranks_mod_p would on
+    the 80 x 56 Macaulay matrix of ideals.smooth_cubic."""
     if p >= 1 << 31:
         raise ValueError(f"rank_mod_p needs p < 2^31, got {p}")
     if not rows:
@@ -234,6 +237,52 @@ def rank_mod_p(rows, p: int) -> int:
         if r == m.shape[0]:
             break
     return r
+
+
+def column_ranks_mod_p(mats, moduli):
+    """ranks[b, j]: the rank over F_q, q = moduli[b], of the first j + 1
+    columns of mats[b], for an int64 array mats (batch, rows, cols) of
+    residues in [0, q) and primes q < 2^31 (larger raise ValueError).
+
+    Gaussian elimination over the columns in order, all matrices at once.
+    A pivot is the first row not yet used as one with a nonzero entry in
+    the column; every other unused row r with r_c != 0 becomes
+    piv * r - r_c * pivot row mod q, with no inverse taken.  The update
+    runs over the rows that some matrix of the batch needs changed, and
+    scales such a row by the unit piv in the matrices that do not.  Each
+    product of two residues is below 2^62, so int64 is exact.  The unused
+    rows are zero in every column already passed, so the count of pivots
+    so far is the rank of the leading columns."""
+    moduli = np.asarray(moduli, dtype=np.int64)
+    if moduli.max() >= 1 << 31:
+        raise ValueError(f"column_ranks_mod_p needs p < 2^31, got "
+                         f"{moduli.max()}")
+    m = mats.copy()
+    batch, rows, cols = m.shape
+    at = np.arange(batch)
+    free = np.ones((batch, rows), dtype=bool)
+    rank = np.zeros(batch, dtype=np.int64)
+    ranks = np.empty((batch, cols), dtype=np.int64)
+    q = moduli[:, None, None]
+    for c in range(cols):
+        live = free & (m[:, :, c] != 0)
+        found = live.any(axis=1)
+        piv = live.argmax(axis=1)
+        prow = m[at, piv, c:]
+        live[at, piv] = False
+        hit = np.flatnonzero(live.any(axis=0))
+        if hit.size:
+            factor = np.where(live[:, hit], m[:, hit, c], 0)
+            scale = np.where(found, prow[:, 0], 1)
+            m[:, hit, c:] = (m[:, hit, c:] * scale[:, None, None]
+                             - factor[:, :, None] * prow[:, None, :]) % q
+        free[at, piv] &= ~found
+        rank += found
+        ranks[:, c] = rank
+        if rank.min() == rows:
+            ranks[:, c:] = rows
+            break
+    return ranks
 
 
 def charpoly(m: Matrix):

@@ -231,7 +231,9 @@ def emit_frobenius_report(rep) -> dict:
             "subgroup_order": rep.subgroup_order,
             "orbit_lengths": rep.orbit_lengths,
             "heuristic": rep.heuristic,
-            "samples": rep.sample_count}
+            "samples": rep.sample_count,
+            "skipped": [{"prime": q, "reason": reason}
+                        for q, reason in rep.skipped]}
 
 
 PARSERS = {

@@ -7,6 +7,7 @@ import pytest
 from cubicdescent import errors as E
 from cubicdescent.cli import EXIT_CODES, exit_code_for, run_pipeline
 from cubicdescent.errors import CubicDescentError
+from cubicdescent.intfactor import primes_up_to
 from cubicdescent.serialize import emit_cubic, emit_dp4
 
 SPLIT_CONFIG = {
@@ -55,6 +56,13 @@ def test_pipeline_split_end_to_end(tmp_path):
     assert report["smooth_dp4"] is True
     assert report["tritangents"]["square_product_class"] == 1
     assert report["frobenius"]["subgroup_order"] is not None
+    # every prime up to the last sampled one is either sampled or skipped
+    frob = report["frobenius"]
+    skipped = {s["prime"]: s["reason"] for s in frob["skipped"]}
+    assert not set(skipped) & set(frob["primes"])
+    assert sorted([*skipped, *frob["primes"]]) == \
+        primes_up_to(frob["primes"][-1])
+    assert skipped[3] == "3 is not a good prime for this input"
     assert set(report["timings"]) >= {"descend_ms", "search_ms",
                                       "blowup_reduce_ms", "smoothness_ms"}
     # diagonal oracle end to end: five rational tritangent roots

@@ -108,6 +108,21 @@ def test_non_generator_error():
         one.different()
 
 
+def test_different_of_r_skips_the_repeated_squarefree_test(monkeypatch,
+                                                         paper_p):
+    # chi_r = p, found squarefree when the algebra was built
+    A = EtaleAlgebra(paper_p)
+    tested = []
+    squarefree = UniPoly.is_squarefree
+    monkeypatch.setattr(UniPoly, "is_squarefree",
+                        lambda f: tested.append(f) or squarefree(f))
+    assert A.r.different() == A.element(paper_p.derivative())
+    assert tested == []
+    with pytest.raises(NonGeneratorError):
+        A.element(3).different()
+    assert tested == [UniPoly.from_roots([3] * 5)]
+
+
 def test_trace_norm_symbolic_relations(paper_p):
     A = EtaleAlgebra(paper_p)
     rng = random.Random(8)
