@@ -217,6 +217,8 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
     psi_coeffs = solve_linear(mat, rho.coords())
     assert psi_coeffs is not None, "m generates, so the power matrix is invertible"
     psi = UniPoly(psi_coeffs)
+    # disc_m != 0 proved chi_m squarefree: its algebra skips that test
+    psi_algebra = EtaleAlgebra._of_squarefree(chi_m)
 
     report = RadicandReport(
         rho=rho,
@@ -226,7 +228,7 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
         norm_rho=-conj_poly[0],
         disc_tritangent=disc_m,
         splitting_element=rho * disc_m,
-        splitting_psi=EtaleAlgebra(chi_m).element(psi * disc_m),
+        splitting_psi=psi_algebra.element(psi * disc_m),
     )
     roots = sorted(-g[0] for g, _ in report.rational_factors if g.degree == 1)
     for t in roots:

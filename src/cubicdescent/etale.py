@@ -89,6 +89,17 @@ class EtaleAlgebra:
             raise NotEtaleError("defining polynomial must be monic")
         if not p.is_squarefree():
             raise NotEtaleError("defining polynomial must be squarefree")
+        self._build(p)
+
+    @classmethod
+    def _of_squarefree(cls, p: UniPoly) -> "EtaleAlgebra":
+        """The algebra of a monic quintic UniPoly already known to be
+        squarefree (say from a nonzero discriminant), not tested again."""
+        algebra = cls.__new__(cls)
+        algebra._build(p)
+        return algebra
+
+    def _build(self, p: UniPoly):
         self.p = p
         num, self.p_den = over_common_denominator(p.coeffs)
         self.p_num = tuple(num)

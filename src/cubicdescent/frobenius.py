@@ -421,6 +421,8 @@ def sample_frobenius(report: RadicandReport, prime_count: int = 40,
                      prime_bound: int = 500) -> SamplingReport:
     """Classes at the first prime_count good primes below prime_bound,
     plus the minimal subgroup realizing every sampled anchored class.
+    With no sampled prime there is no evidence to fit: the subgroup order
+    and the orbit lengths are None, as when no subgroup is found.
 
     The good primes are read in chunks by frobenius_readings: the first
     chunk holds prime_count of them, and each further one as many as
@@ -457,7 +459,7 @@ def sample_frobenius(report: RadicandReport, prime_count: int = 40,
     member_lists = [anchored_class_members(a, block_sizes)
                     for a in distinct_anchored]
     elems = None
-    if all(member_lists):
+    if primes and all(member_lists):
         elems, chosen = minimal_cover_subgroup(member_lists)
     if elems is None:
         return SamplingReport(primes, classes, distinct_plain,

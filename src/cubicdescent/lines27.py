@@ -244,30 +244,66 @@ def orbits(generators) -> list:
     return sorted(sizes)
 
 
-def subgroup_closure(generators, cap: int | None = None) -> list | None:
-    """All elements generated, by a breadth-first search from the identity
-    that multiplies each new element by the generators; None as soon as
-    the order exceeds cap."""
-    if cap is not None and cap < 1:
+#: for each possible subgroup order n, the orders above n of the subgroups
+#: that could contain one of order n: the multiples of n dividing 1920
+_ORDERS_ABOVE = {n: tuple(d for d in range(2 * n, 1921, n) if 1920 % d == 0)
+                 for n in range(1, 1921) if 1920 % n == 0}
+
+
+def _extend(h, gens, cand, limit):
+    """<H, cand> as a union of right cosets H*y (Dimino's algorithm), on
+    element indices: H is a closed subgroup, given as the set h of its
+    indices and generated by the indices gens, and cand is not in H.  Each
+    coset representative r is multiplied by gens and cand; a product y
+    outside the known cosets adds its coset H*y and becomes a
+    representative.  Returns the element set, or None as soon as the
+    order would exceed limit.
+
+    The order of <H, cand> is a multiple of |H| above |H| that divides
+    1920 (_ORDERS_ABOVE), so the largest such order within limit is the
+    real bound, and with none (as when 2|H| > limit) the step returns None
+    before any product."""
+    order = len(h)
+    limit = max((d for d in _ORDERS_ABOVE[order] if d <= limit), default=0)
+    if not limit:
         return None
+    _, perm_mul, perm_act, sign_mul = _tables()
+    pairs = [divmod(x, 16) for x in h]
+    steps = [divmod(s, 16) for s in gens]
+    steps.append(divmod(cand, 16))
+    elems = set(h)
+    reps = [0]
+    for r in reps:                  # reps grows while it is read
+        a, e = divmod(r, 16)
+        mul_a, act_a, mul_e = perm_mul[a], perm_act[a], sign_mul[e]
+        for b, f in steps:
+            y = mul_a[b] + mul_e[act_a[f]]
+            if y in elems:
+                continue
+            if len(elems) + order > limit:
+                return None
+            yb, yf = divmod(y, 16)
+            elems.update([perm_mul[c][yb] + sign_mul[d][perm_act[c][yf]]
+                          for c, d in pairs])
+            reps.append(y)
+    return elems
+
+
+def subgroup_closure(generators, cap: int | None = None) -> list | None:
+    """All elements generated, by one coset step (_extend) per generator
+    outside the group so far; None as soon as the order exceeds cap."""
     limit = 1920 if cap is None else cap
-    grp, perm_mul, perm_act, sign_mul = _tables()
-    gens = [divmod(s.index, 16) for s in generators]
-    elems = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            a, e = divmod(g, 16)
-            mul_a, act_a, mul_e = perm_mul[a], perm_act[a], sign_mul[e]
-            for b, f in gens:
-                h = mul_a[b] + mul_e[act_a[f]]
-                if h not in elems:
-                    elems.add(h)
-                    nxt.append(h)
-                    if len(elems) > limit:
-                        return None
-        frontier = nxt
+    if limit < 1:
+        return None
+    elems, gens = {0}, []
+    for g in generators:
+        if g.index in elems:
+            continue
+        elems = _extend(elems, gens, g.index, limit)
+        if elems is None:
+            return None
+        gens.append(g.index)
+    grp = _tables()[0]
     return [grp[k] for k in elems]
 
 
@@ -344,10 +380,15 @@ def minimal_cover_subgroup(classes, cap: int = 1920):
     """Smallest subgroup containing an element of every given conjugacy
     class, by backtracking over class representatives.
 
-    When a branch's subgroup already meets the next class, the branch
-    continues without growth (adding an outside representative can only
-    enlarge the closure, so this is sound for minimality).  Returns
-    (sorted elements, chosen representatives).
+    Each branch carries its subgroup (a set of element indices) and the
+    representatives that enlarged it, and grows it by one coset step
+    (_extend) per outside representative.  When a branch's subgroup
+    already meets the next class, the branch continues without growth
+    (adding an outside representative can only enlarge the subgroup, so
+    this is sound for minimality).  A (subgroup, depth) state is searched
+    once per call: the subtree below it depends only on that state and
+    the bound, and the bound only falls, so a revisit cannot find a
+    smaller group.  Returns (sorted elements, chosen representatives).
 
     `classes` may be plain (length, sign) multisets or prebuilt candidate
     element lists.
@@ -357,35 +398,36 @@ def minimal_cover_subgroup(classes, cap: int = 1920):
     members.sort(key=len)
     best_elems: set | None = None
     best_chosen: list | None = None
+    visited = set()
 
-    def grow(chosen, elems, k):
+    def grow(chosen, elems, gens, k):
         nonlocal best_elems, best_chosen
         if best_elems is not None and len(elems) >= len(best_elems):
             return
+        state = (frozenset(elems), k)
+        if state in visited:
+            return
+        visited.add(state)
         if k == len(members):
-            best_elems = set(elems)
+            best_elems = elems
             best_chosen = list(chosen)
             return
-        inside = next((c for c in members[k] if c in elems), None)
+        inside = next((c for c in members[k] if c.index in elems), None)
         if inside is not None:
-            grow(chosen + [inside], elems, k + 1)
+            grow(chosen + [inside], elems, gens, k + 1)
             return
-        tried = set()
         for cand in members[k]:
             limit = (len(best_elems) - 1) if best_elems is not None else cap
-            closure = subgroup_closure(chosen + [cand], cap=limit)
-            if closure is None:
-                continue
-            key = frozenset(closure)
-            if key in tried:
-                continue
-            tried.add(key)
-            grow(chosen + [cand], set(closure), k + 1)
+            grown = _extend(elems, gens, cand.index, limit)
+            if grown is not None:
+                grow(chosen + [cand], grown, gens + [cand.index], k + 1)
 
-    grow([], {GroupElt.identity()}, 0)
+    grow([], {0}, [], 0)
     if best_elems is None:
         return None, None
-    return sorted(best_elems, key=lambda g: (g.sigma, g.t)), best_chosen
+    grp = _tables()[0]
+    return (sorted((grp[k] for k in best_elems), key=lambda g: (g.sigma, g.t)),
+            best_chosen)
 
 
 #: seven line classes that span Pic x Q

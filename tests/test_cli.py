@@ -182,3 +182,18 @@ def test_cli_descent_input_or_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**doc, "schema": "descent-input@2"}))
     assert main(["descend", "-i", str(bad)]) == 2
+
+
+def test_cli_frobenius_without_primes(tmp_path):
+    # no sampled prime: the document carries no group, as when none is found
+    from cubicdescent.cli import main
+
+    src = tmp_path / "paper.json"
+    src.write_text(json.dumps(
+        {"p": ["-900/1", "1134/1", "-288/1", "-51/1", "10/1", "1/1"]}))
+    for extra in (["--primes", "0"], ["--bound", "6"]):
+        out = tmp_path / "frobenius.json"
+        assert main(["frobenius", "-i", str(src), "-o", str(out), *extra]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["samples"] == 0 and doc["primes"] == []
+        assert doc["subgroup_order"] is None and doc["orbit_lengths"] is None

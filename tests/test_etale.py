@@ -50,6 +50,17 @@ def test_constructor_validation():
         EtaleAlgebra(UniPoly.from_roots([1, 1, 2, 3, 4]))  # repeated root
 
 
+def test_known_squarefree_algebra_matches_constructor(paper_strategy):
+    """radicand_report builds the algebra of chi_m, squarefree by its
+    nonzero discriminant, without a second squarefree test; it is the
+    algebra the constructor builds."""
+    _, rep = paper_strategy
+    built = rep.splitting_psi.algebra
+    checked = EtaleAlgebra(rep.tritangent_poly)
+    for name in ("p", "p_num", "p_den", "power_sum_num", "power_sum_den"):
+        assert getattr(built, name) == getattr(checked, name)
+
+
 def test_charpoly_of_r_is_p(paper_p):
     A = EtaleAlgebra(paper_p)
     assert A.r.charpoly_of() == paper_p

@@ -77,6 +77,18 @@ def test_bad_primes_rejected(paper_strategy):
         frobenius_class(rep, 3)
 
 
+def test_sampling_without_primes_fits_nothing(paper_strategy):
+    """No sampled prime is no evidence: the fit reports no group rather
+    than the trivial one.  Below 7 every prime is bad for the paper
+    quintic, so prime_bound = 6 samples nothing either."""
+    _, rep = paper_strategy
+    for kwargs in ({"prime_count": 0}, {"prime_bound": 6}):
+        sr = sample_frobenius(rep, **kwargs)
+        assert sr.sample_count == 0 and sr.skipped == []
+        assert sr.subgroup_order is None and sr.orbit_lengths is None
+    assert sample_frobenius(rep, prime_bound=7).subgroup_order is not None
+
+
 def test_sign_well_defined_under_representative_change(paper_strategy):
     # two representatives of the splitting element differing by a
     # multiple of p (and of psi_e by one of chi_m) give identical classes
@@ -155,8 +167,9 @@ def test_blowup_count_relation(paper_strategy, paper_cubic, paper_dp4):
 
 
 def test_sampling_generic_quintic_order_384():
-    """A quintic outside the benchmark's list: the fit runs through the
-    backtracking in minimal_cover_subgroup to a subgroup of order 384."""
+    """A quintic outside the benchmark's list: the backtracking in
+    minimal_cover_subgroup grows its subgroups by cosets to one of order
+    384 (tests/test_cover_fit.py checks it against the old search)."""
     from cubicdescent.descent import run_strategy
     from cubicdescent.unipoly import UniPoly
 
