@@ -13,10 +13,10 @@ import sys
 import time
 
 from . import errors as E
-from .descent import DescentInput, build_quadrics, power_basis_form, \
-    radicand_report, strategy_ab
+from .descent import DescentInput, DP4Surface, build_quadrics, \
+    power_basis_form, radicand_report, strategy_ab
 from .etale import EtaleAlgebra
-from .forms import ProjPoint, contains_line
+from .forms import contains_line
 from .frobenius import sample_frobenius
 from .geometry import (CubicSurface, cubic_to_dp4, dp4_to_cubic, greedy_reduce,
                        tritangent_analysis, tritangent_square_product)
@@ -26,7 +26,8 @@ from .serialize import (emit_cubic, emit_dp4, emit_frobenius_report,
                         emit_point, emit_radicand_report,
                         emit_search_result, emit_tritangent_report,
                         frac_from_str, parse_artifact, parse_cubic,
-                        parse_descent_input, parse_dp4, parse_unipoly)
+                        parse_descent_input, parse_dp4, parse_point,
+                        parse_unipoly)
 
 #: every library error class maps to exactly one exit code
 EXIT_CODES = {
@@ -125,7 +126,12 @@ def cmd_convert(args) -> int:
     if not args.point:
         raise E.InvalidConfigError("--to-cubic needs --point")
     v = parse_dp4(data)
-    point = ProjPoint(json.loads(args.point))
+    try:
+        point = parse_point(json.loads(args.point))
+    except json.JSONDecodeError as exc:
+        raise E.InvalidConfigError(f"--point is not JSON: {exc}") from None
+    if len(point) != 5:
+        raise E.InvalidConfigError("--point needs five coordinates")
     s = dp4_to_cubic(v, point)
     _write_json(emit_cubic(s), args.output)
     return 0
@@ -155,9 +161,12 @@ def cmd_verify(args) -> int:
     if isinstance(art, CubicSurface):
         verdict = smooth_cubic(art)
         kind = "cubic"
-    else:
+    elif isinstance(art, DP4Surface):
         verdict = smooth_dp4(art)
         kind = "dp4"
+    else:
+        raise E.SchemaError(f"verify takes cubic@1 or dp4@1, got "
+                            f"{data['schema']!r}")
     _write_json({"surface": kind, "smooth": verdict}, args.output)
     return 0
 
@@ -207,10 +216,15 @@ def run_pipeline(config: dict, report: dict | None = None) -> dict:
         raise E.SchemaError(f"unknown fields: {sorted(unknown)}")
     if "p" not in config or "height" not in config:
         raise E.InvalidConfigError("pipeline config needs p and height")
-    height = int(config["height"])
+    primes_cfg = config.get("primes", {"count": 40, "bound": 500})
+    try:
+        height = int(config["height"])
+        prime_count = int(primes_cfg.get("count", 40))
+        prime_bound = int(primes_cfg.get("bound", 500))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise E.InvalidConfigError(f"bad pipeline config: {exc}") from None
     if height < 1:
         raise E.InvalidConfigError("height must be positive")
-    primes_cfg = config.get("primes", {"count": 40, "bound": 500})
     timings: dict = {}
     if report is None:
         report = {}
@@ -257,9 +271,8 @@ def run_pipeline(config: dict, report: dict | None = None) -> dict:
     timings["tritangents_ms"] = round((time.monotonic() - t0) * 1000, 3)
 
     t0 = time.monotonic()
-    sampling = sample_frobenius(radicands,
-                                prime_count=int(primes_cfg.get("count", 40)),
-                                prime_bound=int(primes_cfg.get("bound", 500)))
+    sampling = sample_frobenius(radicands, prime_count=prime_count,
+                                prime_bound=prime_bound)
     report["frobenius"] = emit_frobenius_report(sampling)
     timings["frobenius_ms"] = round((time.monotonic() - t0) * 1000, 3)
     return report

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, ZeroPolynomialError
 from .intfactor import as_fraction, primitive_part
-from .linalg import Matrix, det, nullspace, rank
+from .linalg import Matrix, charpoly, det, nullspace, rank
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
@@ -349,33 +349,9 @@ class ProjLine:
         return self._forms
 
     def canonical_key(self) -> tuple:
-        """Canonical invariant of the line: RREF of the span matrix,
-        primitive integer rows."""
-        p, q = self.points
-        rows = [list(map(Fraction, p.coords)), list(map(Fraction, q.coords))]
-        # reduced row echelon over Q
-        pivots = []
-        r = 0
-        for c in range(4):
-            piv = None
-            for i in range(r, 2):
-                if rows[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(2):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == 2:
-                break
-        return tuple(tuple(primitive_part(row)[1]) for row in rows)
+        """Canonical invariant of the line: the canonical nullspace of its
+        two points, which depends on their span alone."""
+        return tuple(nullspace(Matrix.from_rows([p.coords for p in self.points])))
 
     def __eq__(self, other):
         return isinstance(other, ProjLine) and self.canonical_key() == other.canonical_key()
@@ -530,60 +506,13 @@ def contains_line(s: CubicForm4, line: ProjLine) -> bool:
 
 
 def signature(q: QuadForm):
-    """Sylvester inertia (positives, negatives, zeros) by exact symmetric
-    congruence diagonalization."""
-    diag = congruence_diagonal(q)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
-    return (pos, neg, q.n - pos - neg)
-
-
-def congruence_diagonal(q: QuadForm) -> list:
-    """Diagonal entries of a congruent diagonal form (deterministic)."""
-    n = q.n
-    a = [[q.gram[i, j] for j in range(n)] for i in range(n)]
-    diag = []
-    for k in range(n):
-        # ensure a nonzero diagonal entry at position k
-        if a[k][k] == 0:
-            swap = None
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    swap = j
-                    break
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            off = (i, j)
-                            break
-                    if off:
-                        break
-                if off is None:
-                    diag.extend([Fraction(0)] * (n - k))
-                    break
-                i, j = off
-                # e_i <- e_i + e_j creates a diagonal entry at (i, i)
-                for col in range(n):
-                    a[i][col] += a[j][col]
-                for row in a:
-                    row[i] += row[j]
-                if i != k:
-                    a[k], a[i] = a[i], a[k]
-                    for row in a:
-                        row[k], row[i] = row[i], row[k]
-        d = a[k][k]
-        diag.append(d)
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for col in range(n):
-                    a[i][col] -= f * a[k][col]
-                for row in a:
-                    row[i] -= f * row[k]
-    return diag
+    """Sylvester inertia (positives, negatives, zeros), read off the
+    characteristic polynomial of the Gram matrix by Descartes' rule of
+    signs, which is exact for a polynomial with only real roots: the zeros
+    are the multiplicity of the root 0 and the positives the sign changes
+    of the remaining coefficients."""
+    coeffs = charpoly(q.gram).coeffs
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    signs = [c > 0 for c in coeffs[zeros:] if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return (pos, q.n - zeros - pos, zeros)

@@ -75,15 +75,20 @@ class FrobClass:
         return pic_trace_of_class(self.parts)
 
 
+def _reduce(nums, den: int, q: int) -> list:
+    """The residues mod q of the rationals nums[i] / den: each numerator
+    times one inverse of den mod q (den must be a unit mod q)."""
+    inv = pow(den, -1, q)
+    return [n * inv % q for n in nums]
+
+
 def _residues(coeffs: dict, p: int) -> dict:
     """The nonzero residues {exponent: c mod p} of a coefficient map: its
-    numerators over the common denominator times that denominator's
-    inverse mod p."""
+    numerators over the common denominator, reduced by _reduce."""
     nums, den = over_common_denominator(coeffs.values())
     if den % p == 0:
         raise BadPrimeError(f"denominator divisible by {p}")
-    inv = pow(den, -1, p)
-    return {e: v for e, n in zip(coeffs, nums) if (v := n * inv % p)}
+    return {e: v for e, v in zip(coeffs, _reduce(nums, den, p)) if v}
 
 
 def _reduce_map(coeffs: dict, p: int, what: str) -> dict:
@@ -290,10 +295,7 @@ def frobenius_readings(report: RadicandReport, primes: list) -> list:
     if not primes:
         return []
     psi = report.splitting_psi
-    elts = []
-    for q in primes:
-        inv = pow(psi.den, -1, q)
-        elts.append([v % q * inv % q for v in psi.num])
+    elts = [_reduce(psi.num, psi.den, q) for q in primes]
     sizes = tuple(len(num) - 1 for num, _ in report.factor_numerators)
     assert all(mult == 1 for _, mult in report.rational_factors)
     found = {}
@@ -332,9 +334,8 @@ def _read_blocks(factors, elts, primes) -> list:
     f is squarefree mod q exactly when M(f') has full rank, and e
     vanishes at no root exactly when M(e) does."""
     n = len(factors[0][0]) - 1
-    f = np.array([[c % q * inv % q for c in num]
-                  for num, den in factors for q in primes
-                  for inv in (pow(den, -1, q),)], dtype=np.int64)
+    f = np.array([_reduce(num, den, q) for num, den in factors for q in primes],
+                 dtype=np.int64)
     q = np.array(primes * len(factors), dtype=np.int64)
     rows = len(q)
     table = gp_rows_powers_of_x(f, q, max(2 * n - 1, len(elts[0])))

@@ -6,9 +6,9 @@ linear solve (free variables zero under deterministic elimination) and
 returns the pencil q0 + l1*x4, q1 - l0*x4.  dp4_to_cubic moves the marked
 point to (0:0:0:0:1) by a unimodular integer change, splits each quadric
 as q_i + l_i*x4, and returns q0*l1 - q1*l0 with the line l0 = l1 = 0.
-The provenance records the effective 5x5 coordinate change (point move
-composed with an x4 shear and sign flip fixing the decomposition gauge),
-under which the two constructions are exactly inverse on pencil spans.
+roundtrip_check composes the point move with the x4 shear and sign flip
+that fix the decomposition gauge, under which the two constructions are
+exactly inverse on pencil spans.
 """
 
 from __future__ import annotations
@@ -23,27 +23,14 @@ from .errors import (DegeneratePencilError, DegenerateSurfaceError,
                      LineNotOnSurfaceError, PointNotOnSurfaceError,
                      PreconditionError)
 from .forms import (CubicForm4, LinForm, ProjLine, ProjPoint, QuadForm,
-                    congruence_diagonal, contains_line, monomials_deg3,
-                    p1_normalize, pencil_determinant)
+                    contains_line, monomials_deg3, p1_normalize,
+                    pencil_determinant)
 from .intfactor import squarefree_class
-from .linalg import Matrix, det, inverse, nullspace, rank, solve_linear
+from .linalg import Matrix, det, nullspace, rank, solve_linear
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
 QUAD_INDEX = [(i, j) for i in range(4) for j in range(i, 4)]
-
-
-@dataclass
-class BlowupProvenance:
-    """Recorded by dp4_to_cubic: the effective coordinate change and the
-    decomposition the cubic was assembled from."""
-
-    change: Matrix            # 5x5, original pencil composed with it matches the gauge
-    point: ProjPoint
-    l0: LinForm
-    l1: LinForm
-    q0: QuadForm
-    q1: QuadForm
 
 
 @dataclass
@@ -156,24 +143,29 @@ def cubic_to_dp4(S: CubicSurface | CubicForm4, l0: LinForm, l1: LinForm):
 
 
 def _unimodular_point_move(p: ProjPoint) -> Matrix:
-    """Unimodular integer U with U * p = (0, 0, 0, 0, 1).
+    """Unimodular integer C with C * (0, 0, 0, 0, 1) = p: the inverse of a
+    move U with U * p = (0, 0, 0, 0, 1).
 
     Euclidean reduction: shear every entry by nearest-integer multiples of
     the smallest nonzero entry until one entry survives; primitivity makes
-    it +-1, and a final swap parks it last.  Fully deterministic.
+    it +-1, and a final swap parks it last.  Each row operation on the
+    vector is mirrored by the inverse column operation on C, so C * v = p
+    throughout.  Fully deterministic.
     """
     v = list(p.coords)
     n = len(v)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    c = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap(i, j):
         v[i], v[j] = v[j], v[i]
-        u[i], u[j] = u[j], u[i]
+        for row in c:
+            row[i], row[j] = row[j], row[i]
 
     def shear(i, j, q):
-        # row_i <- row_i - q * row_j
+        # v_i <- v_i - q * v_j; column_j of C gains q * column_i
         v[i] -= q * v[j]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        for row in c:
+            row[j] += q * row[i]
 
     def nearest(a, b):
         q, r = divmod(a, b)
@@ -191,9 +183,10 @@ def _unimodular_point_move(p: ProjPoint) -> Matrix:
         swap(hot, n - 1)
     if v[n - 1] < 0:
         v[n - 1] = -v[n - 1]
-        u[n - 1] = [-a for a in u[n - 1]]
+        for row in c:
+            row[n - 1] = -row[n - 1]
     assert v == [0] * (n - 1) + [1], "point was not primitive"
-    return Matrix.from_rows(u)
+    return Matrix.from_rows(c)
 
 
 def _divide_quad_by_linear(q: QuadForm, l: LinForm) -> LinForm | None:
@@ -222,12 +215,9 @@ def dp4_to_cubic(V: DP4Surface, P: ProjPoint) -> CubicSurface:
         P = ProjPoint(P)
     if V.Q0.evaluate(P.coords) != 0 or V.Q1.evaluate(P.coords) != 0:
         raise PointNotOnSurfaceError(f"{P} does not lie on both quadrics")
-    u = _unimodular_point_move(P)
-    c = inverse(u)
-    Q0m = V.Q0.substitute(c)
-    Q1m = V.Q1.substitute(c)
-    q0, l0 = _split_quadric5(Q0m)
-    q1, l1 = _split_quadric5(Q1m)
+    c = _unimodular_point_move(P)
+    q0, l0 = _split_quadric5(V.Q0.substitute(c))
+    q1, l1 = _split_quadric5(V.Q1.substitute(c))
     if rank(Matrix.from_rows([l0.coeffs, l1.coeffs])) != 2:
         raise DegenerateSurfaceError(
             "blow-up produces dependent cut forms (bad point)")
@@ -249,38 +239,33 @@ def dp4_to_cubic(V: DP4Surface, P: ProjPoint) -> CubicSurface:
     F = CubicForm4(f_terms)
     if F.is_zero():
         raise DegenerateSurfaceError("blow-up produces the zero cubic")
+    return CubicSurface(F, known_line=ProjLine.from_forms(l0, l1))
 
-    # Gauge fixing: the canonical re-decomposition of F along (l0, l1)
-    # differs from (−q1, q0) by an x4 shear; fold the shear and an x4 sign
-    # flip into the recorded change so the roundtrip is exactly inverse.
-    dec = _decompose(F, l0, l1)
-    assert dec is not None
-    a_star, _ = dec
-    # a_star = -q1 + l1 * h  =>  l1 * h = a_star + q1
-    h = _divide_quad_by_linear(
-        QuadForm(a_star.gram + q1.gram), l1)
+
+def roundtrip_check(V: DP4Surface, P: ProjPoint) -> bool:
+    """Blow up at P, decompose the cubic along the produced line, and
+    check that the recovered pencil spans exactly the coordinate-moved
+    original pencil.
+
+    The canonical decomposition F = l0*A + l1*B differs from (-q1, q0) by
+    an x4 shear: A = -q1 + l1*h.  The point move composed with that shear
+    and an x4 sign flip is the change under which the two pencils agree."""
+    if not isinstance(P, ProjPoint):
+        P = ProjPoint(P)
+    S = dp4_to_cubic(V, P)
+    l0, l1 = S.known_line.forms
+    V2, a_star, _ = cubic_to_dp4(S, l0, l1)
+    c = _unimodular_point_move(P)
+    q1, _ = _split_quadric5(V.Q1.substitute(c))
+    h = _divide_quad_by_linear(QuadForm(a_star.gram + q1.gram), l1)
     assert h is not None, "decomposition gauge is always an x4 shear"
     w = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
     for j in range(4):
         w[4][j] = -h.coeffs[j]
     w[4][4] = Fraction(-1)
     change = c @ Matrix.from_rows(w)
-
-    line = ProjLine.from_forms(l0, l1)
-    prov = BlowupProvenance(change=change, point=P, l0=l0, l1=l1, q0=q0, q1=q1)
-    return CubicSurface(F, known_line=line, provenance=prov)
-
-
-def roundtrip_check(V: DP4Surface, P: ProjPoint) -> bool:
-    """Blow up at P, decompose the cubic along the produced line, and
-    check that the recovered pencil spans exactly the coordinate-moved
-    original pencil."""
-    S = dp4_to_cubic(V, P)
-    prov: BlowupProvenance = S.provenance
-    V2, _, _ = cubic_to_dp4(S, prov.l0, prov.l1)
-    m0 = V.Q0.substitute(prov.change)
-    m1 = V.Q1.substitute(prov.change)
-    return _same_span((m0, m1), (V2.Q0, V2.Q1))
+    return _same_span((V.Q0.substitute(change), V.Q1.substitute(change)),
+                      (V2.Q0, V2.Q1))
 
 
 def _same_span(pair_a, pair_b) -> bool:
@@ -294,14 +279,17 @@ def _same_span(pair_a, pair_b) -> bool:
     return rank(Matrix.from_rows(rows_a + rows_b)) == 2
 
 
+def _principal_minor(m: Matrix, k: int) -> Fraction:
+    """det of m with row and column k deleted."""
+    idx = [i for i in range(m.rows) if i != k]
+    return det(Matrix.from_rows([[m[i, j] for j in idx] for i in idx]))
+
+
 def _minor_poly(gram0: Matrix, gram1: Matrix, k: int) -> UniPoly:
     """det of (t*gram0 + gram1) with row/col k deleted, as a polynomial in t."""
-    idx = [i for i in range(5) if i != k]
     ts = [0, 1, -1, 2, 3]
-    return UniPoly.interpolate(ts, [
-        det(Matrix.from_rows([[t * gram0[i, j] + gram1[i, j] for j in idx]
-                              for i in idx]))
-        for t in ts])
+    return UniPoly.interpolate(
+        ts, [_principal_minor(gram0.scale(t) + gram1, k) for t in ts])
 
 
 def tritangent_analysis(V: DP4Surface) -> list:
@@ -322,15 +310,15 @@ def tritangent_analysis(V: DP4Surface) -> list:
 
     def make_rational_entry(lam, mu, mult):
         m = V.Q0.gram.scale(lam) + V.Q1.gram.scale(mu)
-        q = QuadForm(m)
-        rk = rank(m)
         ker = nullspace(m)
-        kernel = ker[0] if len(ker) == 1 else None
-        diag = [d for d in congruence_diagonal(q) if d != 0]
-        prod = Fraction(1)
-        for d in diag:
-            prod *= d
-        disc = squarefree_class(prod) if rk == 4 else None
+        rk = 5 - len(ker)
+        kernel = disc = None
+        if len(ker) == 1:
+            # the coordinate hyperplane at the first nonzero entry of the
+            # kernel is a complement of it
+            kernel = ker[0]
+            k = next(i for i, x in enumerate(kernel) if x)
+            disc = squarefree_class(_principal_minor(m, k))
         plane = None
         if origin is not None:
             coeffs = [lam * origin.l1.coeffs[j] - mu * origin.l0.coeffs[j]
@@ -442,6 +430,7 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
     monos = monomials_deg3()
     vec = [ints.get(e, 0) for e in monos]
     total = [[int(a == b) for b in range(4)] for a in range(4)]
+    total_inv = [list(row) for row in total]
     best = _size(vec)
     improved = True
     while improved:
@@ -451,15 +440,18 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
             val = _size(cand)
             if val < best:
                 vec, best, improved = cand, val, True
-                # total <- total @ (I + s*E_ij): column j gains s * column i
+                # total <- total @ (I + s*E_ij): column j gains s * column i;
+                # its inverse <- (I - s*E_ij) @ inverse: row i loses s * row j
                 for row in total:
                     row[j] += s * row[i]
+                total_inv[i] = [a - s * b
+                                for a, b in zip(total_inv[i], total_inv[j])]
                 break
     _, ints = CubicForm4(dict(zip(monos, vec))).primitive_coeffs()
     change = Matrix.from_rows(total)
     line = None
     if S.known_line is not None:
-        uinv = inverse(change)
+        uinv = Matrix.from_rows(total_inv)
         p, q = S.known_line.points
         line = ProjLine.from_points(ProjPoint(uinv.mul_vec(p.coords)),
                                     ProjPoint(uinv.mul_vec(q.coords)))

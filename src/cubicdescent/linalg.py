@@ -129,20 +129,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(m: Matrix):
-    """Rescale each row to integers; return (rows, multipliers).
-
-    Row i of the result equals multipliers[i] * (row i of m), with every
-    entry an int.
-    """
-    rows, mults = [], []
-    for i in range(m.rows):
-        ints, d = over_common_denominator(m.row(i))
-        rows.append(ints)
-        mults.append(d)
-    return rows, mults
-
-
 def _bareiss_echelon(rows):
     """In-place fraction-free row echelon form of an integer matrix.
 
@@ -185,6 +171,19 @@ def _bareiss_echelon(rows):
     return pivots, sign
 
 
+def _echelon(m: Matrix):
+    """(rows, pivots, sign, scale): the fraction-free row echelon form of
+    m with each row first rescaled to integers, scale being the product of
+    the row multipliers; its pivot positions; the sign of its row swaps."""
+    rows, scale = [], 1
+    for i in range(m.rows):
+        ints, d = over_common_denominator(m.row(i))
+        rows.append(ints)
+        scale *= d
+    pivots, sign = _bareiss_echelon(rows)
+    return rows, pivots, sign, scale
+
+
 def det(m: Matrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
@@ -192,22 +191,15 @@ def det(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    rows, mults = _integer_rows(m)
-    pivots, sign = _bareiss_echelon(rows)
+    rows, pivots, sign, scale = _echelon(m)
     if len(pivots) < n:
         return Fraction(0)
-    d = rows[n - 1][pivots[n - 1][1]]
-    scale = 1
-    for x in mults:
-        scale *= x
-    return Fraction(sign * d, scale)
+    return Fraction(sign * rows[n - 1][pivots[n - 1][1]], scale)
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
-    rows, _ = _integer_rows(m)
-    pivots, _ = _bareiss_echelon(rows)
-    return len(pivots)
+    return len(_echelon(m)[1])
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -304,6 +296,22 @@ def charpoly(m: Matrix):
     return UniPoly(list(reversed(coeffs)))
 
 
+def _back_substitute(rows, pivots, x: list, rhs: int | None = None) -> list:
+    """Solve the echelon rows for their pivot unknowns, from the last pivot
+    up, in place: x holds the values of the free unknowns (its pivot
+    entries are overwritten), and row i has the right-hand side
+    rows[i][rhs], or 0 when rhs is None."""
+    n = len(x)
+    for (pr, pc) in reversed(pivots):
+        row = rows[pr]
+        s = Fraction(row[rhs]) if rhs is not None else Fraction(0)
+        for j in range(pc + 1, n):
+            if row[j] and x[j]:
+                s -= row[j] * x[j]
+        x[pc] = s / row[pc]
+    return x
+
+
 def solve_linear(m: Matrix, rhs) -> list | None:
     """One exact solution of m*x = rhs, or None if inconsistent.
 
@@ -313,22 +321,13 @@ def solve_linear(m: Matrix, rhs) -> list | None:
     rhs = [as_fraction(x) for x in rhs]
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = Matrix(m.rows, m.cols + 1,
-                 [x for i in range(m.rows) for x in (*m.row(i), rhs[i])])
-    rows, _ = _integer_rows(aug)
-    pivots, _ = _bareiss_echelon(rows)
+    rows, pivots, _, _ = _echelon(
+        Matrix(m.rows, m.cols + 1,
+               [x for i in range(m.rows) for x in (*m.row(i), rhs[i])]))
     # A pivot in the rhs column means inconsistency.
-    for (_, pc) in pivots:
-        if pc == m.cols:
-            return None
-    sol = [Fraction(0)] * m.cols
-    for (pr, pc) in reversed(pivots):
-        s = Fraction(rows[pr][m.cols])
-        for j in range(pc + 1, m.cols):
-            if rows[pr][j]:
-                s -= rows[pr][j] * sol[j]
-        sol[pc] = s / rows[pr][pc]
-    return sol
+    if pivots and pivots[-1][1] == m.cols:
+        return None
+    return _back_substitute(rows, pivots, [Fraction(0)] * m.cols, m.cols)
 
 
 def nullspace(m: Matrix) -> list:
@@ -336,35 +335,33 @@ def nullspace(m: Matrix) -> list:
 
     Each basis vector has one free variable set to 1 and the remaining
     free variables set to 0, then is cleared of denominators and sign
-    normalized (first nonzero entry positive).
+    normalized (first nonzero entry positive).  It depends on the row
+    space of m alone.
     """
-    rows, _ = _integer_rows(m)
-    pivots, _ = _bareiss_echelon(rows)
-    pivot_cols = [pc for (_, pc) in pivots]
-    free_cols = [j for j in range(m.cols) if j not in pivot_cols]
+    rows, pivots, _, _ = _echelon(m)
+    pivot_cols = {pc for (_, pc) in pivots}
     basis = []
-    for fc in free_cols:
+    for fc in range(m.cols):
+        if fc in pivot_cols:
+            continue
         v = [Fraction(0)] * m.cols
         v[fc] = Fraction(1)
-        for (pr, pc) in reversed(pivots):
-            s = Fraction(0)
-            for j in range(pc + 1, m.cols):
-                if rows[pr][j] and v[j]:
-                    s -= rows[pr][j] * v[j]
-            v[pc] = s / rows[pr][pc]
-        basis.append(tuple(primitive_part(v)[1]))
+        basis.append(tuple(primitive_part(_back_substitute(rows, pivots, v))[1]))
     return basis
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when det = 0."""
+    """Exact inverse, by one elimination of [m | I]; raises
+    SingularMatrixError when det = 0."""
     if m.rows != m.cols:
         raise NonSquareMatrixError("inverse of non-square matrix")
     n = m.rows
-    if rank(m) < n:
+    rows, pivots, _, _ = _echelon(
+        Matrix(n, 2 * n, [x for i in range(n)
+                          for x in (*m.row(i), *(int(i == j) for j in range(n)))]))
+    # [m | I] has rank n; m is singular when a pivot falls in the I block
+    if n and pivots[-1][1] >= n:
         raise SingularMatrixError("matrix is singular")
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve_linear(m, e))
+    cols = [_back_substitute(rows, pivots, [Fraction(0)] * n, n + j)
+            for j in range(n)]
     return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])

@@ -16,11 +16,8 @@ class 3l - e1 - ... - e6.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-
-from .linalg import Matrix, inverse
 
 # ---------------------------------------------------------------------------
 # labels and Picard vectors
@@ -376,7 +373,7 @@ def class_representative(cls: tuple) -> GroupElt:
     return GroupElt(tuple(t), tuple(sigma))
 
 
-def minimal_cover_subgroup(classes, cap: int = 1920):
+def minimal_cover_subgroup(classes):
     """Smallest subgroup containing an element of every given conjugacy
     class, by backtracking over class representatives.
 
@@ -417,7 +414,7 @@ def minimal_cover_subgroup(classes, cap: int = 1920):
             grow(chosen + [inside], elems, gens, k + 1)
             return
         for cand in members[k]:
-            limit = (len(best_elems) - 1) if best_elems is not None else cap
+            limit = (len(best_elems) - 1) if best_elems is not None else 1920
             grown = _extend(elems, gens, cand.index, limit)
             if grown is not None:
                 grow(chosen + [cand], grown, gens + [cand.index], k + 1)
@@ -430,38 +427,21 @@ def minimal_cover_subgroup(classes, cap: int = 1920):
             best_chosen)
 
 
-#: seven line classes that span Pic x Q
-_SPAN_LABELS = (("L0",)
-                + tuple(eps for eps in EVEN_VECTORS if eps.count(-1) == 4)
-                + ((1, 1, 1, 1, 1),))
-
-
-@cache
-def _span_inverse() -> Matrix:
-    """Inverse of the matrix whose columns are the spanning classes."""
-    return inverse(_span_images(tuple(range(N_LINES))))
-
-
-def _span_images(perm: tuple) -> Matrix:
-    """The matrix whose columns are the images of the spanning classes."""
-    return Matrix(7, 7, [Fraction(PIC_VECTORS[perm[LABEL_INDEX[lab]]][i])
-                         for i in range(7) for lab in _SPAN_LABELS])
-
-
-def pic_matrix_of(perm: tuple) -> Matrix:
-    """Linear map induced on Pic x Q by a permutation of the 27 lines,
-    solved from seven spanning line classes."""
-    return _span_images(perm) @ _span_inverse()
-
-
 def pic_trace_of_class(cls: tuple) -> int:
-    """Trace of the Picard action of any element in the class: the trace
-    of pic_matrix_of, from the diagonal entries of the product only."""
-    bp = _span_images(act_on_27(class_representative(cls)))
-    binv = _span_inverse()
-    tr = sum(bp[i, k] * binv[k, i] for i in range(7) for k in range(7))
-    assert tr.denominator == 1
-    return int(tr)
+    """Trace of the Picard action of any element g in the class, in
+    integers.  The basis (l, e1, ..., e6) is orthogonal for the pairing,
+    with l^2 = 1 and e_i^2 = -1, so tr g = g(l).l - sum_i g(e_i).e_i.
+    Here e1..e5 are the even vectors with a single +, e6 = L0, and
+    l = (0, +) + e1 + e6."""
+    perm = act_on_27(class_representative(cls))
+
+    def image(label):
+        return PIC_VECTORS[perm[LABEL_INDEX[label]]]
+
+    es = [eps for eps in EVEN_VECTORS if eps.count(1) == 1] + ["L0"]
+    gl = [sum(x) for x in zip(image((0, 1)), image(es[0]), image("L0"))]
+    return (pairing(gl, (1, 0, 0, 0, 0, 0, 0))
+            - sum(pairing(image(e), PIC_VECTORS[LABEL_INDEX[e]]) for e in es))
 
 
 # startup self-check: label count and the anticanonical trios through L0

@@ -36,6 +36,23 @@ def frac_from_str(s) -> Fraction:
     return Fraction(s)
 
 
+def _int_from(x, what: str) -> int:
+    """A JSON integer, or a string of one, as an int; anything else (a
+    float or a bool included) raises SchemaError naming what it was."""
+    try:
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
+            return int(x)
+    except ValueError:
+        pass
+    raise SchemaError(f"{what} must be an integer, got {x!r}")
+
+
+def _pair(data, what: str):
+    if not isinstance(data, list) or len(data) != 2:
+        raise SchemaError(f"{what} must be a list of two entries")
+    return data
+
+
 def _check_keys(obj: dict, required: set, optional: set = frozenset()):
     keys = set(obj)
     missing = required - keys
@@ -65,7 +82,7 @@ def parse_quadric(data) -> QuadForm:
     _check_keys(data, {"schema", "n", "upper"})
     if data["schema"] != "quadric@1":
         raise SchemaError(f"expected quadric@1, got {data['schema']!r}")
-    return QuadForm.from_upper(int(data["n"]),
+    return QuadForm.from_upper(_int_from(data["n"], "quadric size n"),
                                [frac_from_str(c) for c in data["upper"]])
 
 
@@ -76,7 +93,7 @@ def emit_point(p: ProjPoint) -> list:
 def parse_point(data) -> ProjPoint:
     if not isinstance(data, list):
         raise SchemaError("point must be a coordinate array")
-    return ProjPoint([int(x) for x in data])
+    return ProjPoint([_int_from(x, "point coordinate") for x in data])
 
 
 def emit_line(line: ProjLine) -> dict:
@@ -89,10 +106,10 @@ def parse_line(data) -> ProjLine:
     if data["schema"] != "line@1":
         raise SchemaError(f"expected line@1, got {data['schema']!r}")
     if "points" in data:
-        p, q = data["points"]
+        p, q = _pair(data["points"], "line points")
         return ProjLine.from_points(parse_point(p), parse_point(q))
     if "forms" in data:
-        f0, f1 = data["forms"]
+        f0, f1 = _pair(data["forms"], "line forms")
         return ProjLine.from_forms(LinForm([frac_from_str(c) for c in f0]),
                                    LinForm([frac_from_str(c) for c in f1]))
     raise SchemaError("line needs points or forms")
@@ -118,7 +135,7 @@ def parse_cubic(data) -> CubicSurface:
     terms = {}
     for m in data["monomials"]:
         _check_keys(m, {"exponents", "coeff"})
-        e = tuple(int(v) for v in m["exponents"])
+        e = tuple(_int_from(v, "exponent") for v in m["exponents"])
         terms[e] = terms.get(e, Fraction(0)) + frac_from_str(m["coeff"])
     line = parse_line(data["line"]) if "line" in data else None
     return CubicSurface(CubicForm4(terms), known_line=line,
@@ -194,7 +211,7 @@ def parse_search_result(data) -> SearchResult:
     pts = [parse_point(p) for p in data["points"]]
     if len(pts) != data["count"]:
         raise SchemaError("count does not match point list")
-    return SearchResult(pts, int(data["height_bound"]),
+    return SearchResult(pts, _int_from(data["height_bound"], "height_bound"),
                         convention=data["convention"],
                         elapsed_ms=float(data["elapsed_ms"]))
 

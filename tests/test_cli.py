@@ -197,3 +197,43 @@ def test_cli_frobenius_without_primes(tmp_path):
         doc = json.loads(out.read_text())
         assert doc["samples"] == 0 and doc["primes"] == []
         assert doc["subgroup_order"] is None and doc["orbit_lengths"] is None
+
+
+@pytest.mark.parametrize("doc", [
+    # a line with one point
+    {"schema": "line@1", "points": [[1, 0, 0, 0]]},
+    # a quadric whose size is not an integer
+    {"schema": "quadric@1", "n": "x", "upper": ["1/1"] * 15},
+    # point entries that are not integers
+    {"schema": "line@1", "points": [[1, 0, 0, "a"], [0, 1, 0, 0]]},
+    {"schema": "line@1", "points": [[1, 0, 0, 1.5], [0, 1, 0, 0]]},
+    # well formed, but neither a cubic nor a pair of quadrics
+    {"schema": "line@1", "points": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+])
+def test_cli_verify_malformed_document_exit_code(doc, tmp_path):
+    from cubicdescent.cli import main
+
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    assert main(["verify", "-i", str(src)]) == 2
+
+
+@pytest.mark.parametrize("point", ["abc", "[1, 2, 3]", "5"])
+def test_cli_convert_malformed_point_exit_code(point, paper_dp4, tmp_path):
+    from cubicdescent.cli import main
+
+    src = tmp_path / "dp4.json"
+    src.write_text(json.dumps(emit_dp4(paper_dp4)))
+    assert main(["convert", "--to-cubic", "--point", point,
+                 "-i", str(src)]) == 2
+
+
+@pytest.mark.parametrize("field", [{"height": "abc"},
+                                   {"height": 5, "primes": {"count": "x"}},
+                                   {"height": 5, "primes": 7}])
+def test_cli_pipeline_malformed_config_exit_code(field, tmp_path):
+    from cubicdescent.cli import main
+
+    src = tmp_path / "config.json"
+    src.write_text(json.dumps({"p": SPLIT_CONFIG["p"], **field}))
+    assert main(["pipeline", "-i", str(src)]) == 2

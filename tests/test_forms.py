@@ -5,8 +5,8 @@ import pytest
 
 from cubicdescent.errors import PreconditionError
 from cubicdescent.forms import (CubicForm4, LinForm, ProjLine,
-                                ProjPoint, QuadForm, congruence_diagonal,
-                                contains_line, contains_point, p1_normalize,
+                                ProjPoint, QuadForm, contains_line,
+                                contains_point, p1_normalize,
                                 pencil_determinant, restrict_to_hyperplane,
                                 signature)
 from cubicdescent.linalg import Matrix, det, rank
@@ -143,9 +143,86 @@ def test_signature_congruence_invariance(rng):
         assert rank(q.gram) == rank(q2.gram)
 
 
+def congruence_diagonal(q: QuadForm) -> list:
+    """Oracle: the diagonal entries of a congruent diagonal form, by a
+    symmetric LDL^T elimination over Q (a zero pivot is replaced by a
+    later nonzero diagonal entry, or made by e_i <- e_i + e_j)."""
+    n = q.n
+    a = [[q.gram[i, j] for j in range(n)] for i in range(n)]
+    diag = []
+    for k in range(n):
+        # ensure a nonzero diagonal entry at position k
+        if a[k][k] == 0:
+            swap = None
+            for j in range(k + 1, n):
+                if a[j][j] != 0:
+                    swap = j
+                    break
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = None
+                for i in range(k, n):
+                    for j in range(i + 1, n):
+                        if a[i][j] != 0:
+                            off = (i, j)
+                            break
+                    if off:
+                        break
+                if off is None:
+                    diag.extend([Fraction(0)] * (n - k))
+                    break
+                i, j = off
+                # e_i <- e_i + e_j creates a diagonal entry at (i, i)
+                for col in range(n):
+                    a[i][col] += a[j][col]
+                for row in a:
+                    row[i] += row[j]
+                if i != k:
+                    a[k], a[i] = a[i], a[k]
+                    for row in a:
+                        row[k], row[i] = row[i], row[k]
+        d = a[k][k]
+        diag.append(d)
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / d
+                for col in range(n):
+                    a[i][col] -= f * a[k][col]
+                for row in a:
+                    row[i] -= f * row[k]
+    return diag
+
+
+def form_of_rank(rng, n: int, r: int) -> QuadForm:
+    """A seeded form C^T D C in n variables, with C invertible and D
+    diagonal with r nonzero entries of random sign: a form of rank r."""
+    while True:
+        c = Matrix(n, n, [rng.randint(-2, 2) for _ in range(n * n)])
+        if det(c) != 0:
+            break
+    d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)] + [0] * (n - r)
+    rng.shuffle(d)
+    return QuadForm.diagonal(d).substitute(c)
+
+
 def test_congruence_diagonal_is_congruent(rng):
-    for _ in range(10):
-        q = random_quadform(rng, 5)
+    # signature reads the characteristic polynomial; the LDL^T oracle
+    # gives the same counts on forms of every rank, the zero form and the
+    # zero-diagonal hyperbolic forms included
+    forms = [random_quadform(rng, 5) for _ in range(10)]
+    for n in (3, 4, 5):
+        forms.append(QuadForm.from_poly_coeffs(
+            n, {(i, j): rng.choice((-2, -1, 1, 2))
+                for i in range(n) for j in range(i + 1, n)}))
+        for r in range(n + 1):
+            for _ in range(8):
+                q = form_of_rank(rng, n, r)
+                assert rank(q.gram) == r
+                forms.append(q)
+    for q in forms:
         diag = congruence_diagonal(q)
         assert signature(q) == (sum(1 for d in diag if d > 0),
                                 sum(1 for d in diag if d < 0),
@@ -171,6 +248,7 @@ def test_line_conversions_roundtrip():
     f0, f1 = line.forms
     again = ProjLine.from_forms(f0, f1)
     assert again == line
+    assert hash(again) == hash(line)
     for f in (f0, f1):
         for p in line.points:
             assert f.evaluate(p.coords) == 0
@@ -183,3 +261,31 @@ def test_binary_quintic_infinity_root():
     bq = pencil_determinant(q0, q1)
     roots = dict(bq.rational_roots())
     assert roots[(1, 0)] == 1
+
+
+def test_line_equality_depends_on_the_span_alone(rng):
+    # the same line from two other points of it, and from two other cut
+    # forms, is equal and hashes equal; two lines are equal exactly when
+    # their four points span a plane of rank 2
+    lines = []
+    while len(lines) < 40:
+        p = [rng.randint(-4, 4) for _ in range(4)]
+        q = [rng.randint(-4, 4) for _ in range(4)]
+        if rank(Matrix.from_rows([p, q])) == 2:
+            lines.append(ProjLine.from_points(p, q))
+    for line in lines:
+        (p, q), (f0, f1) = line.points, line.forms
+        a, b = rng.choice((1, -1, 2, 3)), rng.choice((2, 5, -3))
+        others = [
+            ProjLine.from_points([a * x + y for x, y in zip(p, q)],
+                                 [x - b * y for x, y in zip(p, q)]),
+            ProjLine.from_forms(f0, f1),
+            ProjLine.from_forms([a * x + y for x, y in zip(f0.coeffs, f1.coeffs)],
+                                [x - b * y for x, y in zip(f0.coeffs, f1.coeffs)]),
+        ]
+        for other in others:
+            assert other == line and hash(other) == hash(line)
+    for u in lines[:10]:
+        for v in lines:
+            span = rank(Matrix.from_rows([x.coords for x in (*u.points, *v.points)]))
+            assert (u == v) == (span == 2)

@@ -10,14 +10,18 @@ from cubicdescent.forms import (CubicForm4, LinForm, ProjLine, ProjPoint,
                                 QuadForm, contains_line, monomials_deg3,
                                 restrict_to_hyperplane, signature)
 from cubicdescent.geometry import (SHEARS, CubicSurface, _shear,
-                                   _shear_terms, _size, cubic_to_dp4,
+                                   _shear_terms, _size,
+                                   _unimodular_point_move, cubic_to_dp4,
                                    dp4_to_cubic, greedy_reduce,
                                    roundtrip_check, tritangent_analysis,
                                    tritangent_square_product)
-from cubicdescent.linalg import Matrix, inverse, rank
+from cubicdescent.intfactor import squarefree_class
+from cubicdescent.linalg import Matrix, det, inverse, rank
 
 from conftest import (PAPER_POINT, PAPER_Q0_COEFFS, PAPER_Q1_COEFFS,
-                      random_cubic_with_line, random_dp4_with_point)
+                      random_cubic_with_line, random_dp4_with_point,
+                      random_quadform)
+from test_forms import congruence_diagonal, form_of_rank
 
 
 def test_cubic_to_dp4_trivial_decomposition():
@@ -66,13 +70,28 @@ def test_dp4_to_cubic_paper(paper_dp4):
 
 
 def test_roundtrip_paper(paper_dp4):
-    assert roundtrip_check(paper_dp4, ProjPoint(PAPER_POINT))
+    for point in PAPER_POINTS:
+        assert roundtrip_check(paper_dp4, ProjPoint(point))
+
+
+def test_point_move_is_unimodular_with_last_column_p():
+    rng = random.Random(8)
+    points = [PAPER_POINT, (0, 0, 0, 0, 1), (0, 0, 0, 0, -1), (1, 0, 0, 0, 0)]
+    points += [[rng.randint(-40, 40) for _ in range(5)] for _ in range(30)]
+    for coords in points:
+        if not any(coords):
+            continue
+        p = ProjPoint(coords)
+        c = _unimodular_point_move(p)
+        assert c.column(4) == p.coords
+        assert abs(det(c)) == 1
+        assert all(x.denominator == 1 for x in c._e)
 
 
 def test_roundtrip_random():
     rng = random.Random(41)
     done = 0
-    while done < 8:
+    while done < 20:
         v, p = random_dp4_with_point(rng)
         try:
             assert roundtrip_check(v, p)
@@ -134,6 +153,43 @@ def test_tritangent_paper_strategy(paper_p):
                           if not isinstance(e.pencil_root, tuple))
     assert norm_classes == [3, 6]     # the published norm conditions
     assert tritangent_square_product(entries) == 1
+
+
+def _oracle_split_disc(V, entry):
+    """Square class of the product of the nonzero diagonal entries of the
+    LDL^T oracle on the degenerate member, for a member of rank 4."""
+    lam, mu = entry.pencil_root
+    m = V.Q0.gram.scale(lam) + V.Q1.gram.scale(mu)
+    if rank(m) != 4:
+        return None
+    prod = 1
+    for d in congruence_diagonal(QuadForm(m)):
+        if d:
+            prod *= d
+    return squarefree_class(prod)
+
+
+def test_split_disc_matches_congruence_oracle(paper_dp4, paper_p):
+    # split_disc is read off a principal 4 x 4 minor: the LDL^T oracle
+    # gives the same square class on every rational member, the
+    # published pair, its descent and seeded pairs with members of rank 4
+    # and 3
+    pairs = [paper_dp4, run_strategy(paper_p)[0],
+             DP4Surface(QuadForm.diagonal([1, 1, 1, 1, 1]),
+                        QuadForm.diagonal([0, 0, 2, 3, 4]))]
+    rng = random.Random(12)
+    for r in (4, 4, 4, 4, 4, 4, 3, 3):
+        # (0 : 1) is a member of rank r
+        pairs.append(DP4Surface(random_quadform(rng, 5, 3),
+                                form_of_rank(rng, 5, r)))
+    seen = 0
+    for v in pairs:
+        for e in tritangent_analysis(v):
+            if isinstance(e.pencil_root, tuple):
+                seen += 1
+                assert e.split_disc == _oracle_split_disc(v, e)
+                assert (e.kernel is not None) == (e.rank_at_root == 4)
+    assert seen >= 14
 
 
 def test_tritangent_planes_in_cubic_coordinates(paper_cubic):

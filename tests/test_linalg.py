@@ -165,3 +165,28 @@ def test_rank_mod_p_int64_boundary():
         assert rank_mod_p(rows, p) == rank(Matrix.from_rows(signs))
     with pytest.raises(ValueError):
         rank_mod_p([[1]], 2 ** 31 + 11)
+
+
+def test_inverse_matches_column_solves():
+    # one elimination of [m | I] gives the columns that n separate solves
+    # of m x = e_j give; a singular m raises, whatever its rank
+    rng = random.Random(13)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(12):
+            m = Matrix(n, n, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(n * n)])
+            if rank(m) < n:
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
+                continue
+            cols = [solve_linear(m, [int(i == j) for i in range(n)])
+                    for j in range(n)]
+            inv = inverse(m)
+            assert inv == Matrix(n, n, [cols[j][i] for i in range(n)
+                                        for j in range(n)])
+            assert m @ inv == Matrix.identity(n)
+    for rows in ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[0, 0], [0, 0]],
+                 [[1, 1, 0], [1, 1, 0], [0, 0, 0]]):
+        with pytest.raises(SingularMatrixError):
+            inverse(Matrix.from_rows(rows))
+    assert inverse(Matrix(0, 0, [])) == Matrix(0, 0, [])
