@@ -16,7 +16,6 @@ from . import errors as E
 from .descent import DescentInput, DP4Surface, build_quadrics, \
     power_basis_form, radicand_report, strategy_ab
 from .etale import EtaleAlgebra
-from .forms import contains_line
 from .frobenius import sample_frobenius
 from .geometry import (CubicSurface, cubic_to_dp4, dp4_to_cubic, greedy_reduce,
                        tritangent_analysis, tritangent_square_product)
@@ -253,8 +252,6 @@ def run_pipeline(config: dict, report: dict | None = None) -> dict:
     raw_cubic = dp4_to_cubic(surface, chosen)
     reduced = greedy_reduce(raw_cubic)
     timings["blowup_reduce_ms"] = round((time.monotonic() - t0) * 1000, 3)
-    assert reduced.known_line is not None
-    assert contains_line(reduced.F, reduced.known_line)
     report["raw_cubic"] = emit_cubic(raw_cubic)
     report["cubic"] = emit_cubic(reduced)
 

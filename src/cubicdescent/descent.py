@@ -23,7 +23,7 @@ from .etale import DEGREE, AlgElement, EtaleAlgebra
 from .forms import BinaryQuintic, QuadForm, p1_normalize, pencil_determinant
 from .intfactor import (is_perfect_square, over_common_denominator,
                         squarefree_class)
-from .linalg import Matrix, det, rank, solve_linear
+from .linalg import Matrix, _int_det, _int_rank, solve_linear
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
@@ -40,7 +40,9 @@ class DescentInput:
     def __post_init__(self):
         if len(self.l) != DEGREE:
             raise DependentFormsError("l needs exactly five coefficients")
-        if det(trace_gram(self.algebra.one(), self.l)) == 0:
+        num, _ = _trace_gram_num(self.algebra.one(), self.l)
+        if _int_det([num[i:i + DEGREE]
+                     for i in range(0, len(num), DEGREE)]) == 0:
             raise DependentFormsError(
                 "conjugate linear forms are dependent (trace form degenerate)")
 
@@ -56,11 +58,7 @@ class DP4Surface:
     def __post_init__(self):
         if self.Q0.n != 5 or self.Q1.n != 5:
             raise DegeneratePencilError("quadrics must have 5 variables")
-        stacked = Matrix.from_rows([
-            [x for x in self.Q0.gram._e],
-            [x for x in self.Q1.gram._e],
-        ])
-        if rank(stacked) != 2:
+        if _int_rank([list(self.Q0.num), list(self.Q1.num)]) != 2:
             raise DegeneratePencilError("quadrics do not span a 2-dimensional pencil")
 
     def pencil_quintic(self) -> BinaryQuintic:
@@ -138,29 +136,37 @@ class RadicandReport:
                      for f, _ in self.rational_factors)
 
 
-def trace_gram(weight: AlgElement, l) -> Matrix:
-    """Matrix of trace(weight * c_j * c_k), as C^T H C on integers.
+def _trace_gram_num(weight: AlgElement, l) -> tuple:
+    """(num, den): the matrix of trace(weight * c_j * c_k) as row-major
+    integer numerators over one denominator, C^T H C on integers.
 
     With weight = w / d, the power sums s_i = S_i / sigma of the algebra
-    and column j of C the numerators of c_j = C_j / d_j, the Hankel
-    numerators are H[a][b] = sum_i w_i S_(i+a+b), and entry (j, k) is the
-    integer C_j^T H C_k divided once, by d * sigma * d_j * d_k."""
+    and column j of C the numerators of c_j = C_j / e over the common
+    denominator e of l, the Hankel numerators are
+    H[a][b] = sum_i w_i S_(i+a+b), and entry (j, k) is the integer
+    C_j^T H C_k over d * sigma * e^2."""
     algebra = weight.algebra
     s = algebra.power_sum_num
     hankel = [sum(wi * s[i + m] for i, wi in enumerate(weight.num) if wi)
               for m in range(2 * DEGREE - 1)]
-    cols = [cj.num for cj in l]
+    scale, e = over_common_denominator([Fraction(1, cj.den) for cj in l])
+    cols = [[x * f for x in cj.num] for cj, f in zip(l, scale)]
     hc = [[sum(hankel[a + b] * cb for b, cb in enumerate(col) if cb)
            for col in cols] for a in range(DEGREE)]
-    base = weight.den * algebra.power_sum_den
     n = len(cols)
-    entries = [None] * (n * n)
+    num = [0] * (n * n)
     for j, cj in enumerate(cols):
         for k in range(j, n):
-            entries[j * n + k] = entries[k * n + j] = Fraction(
-                sum(cj[a] * hc[a][k] for a in range(DEGREE)),
-                base * l[j].den * l[k].den)
-    return Matrix(n, n, entries)
+            num[j * n + k] = num[k * n + j] = sum(
+                cj[a] * hc[a][k] for a in range(DEGREE))
+    return num, weight.den * algebra.power_sum_den * e * e
+
+
+def trace_gram(weight: AlgElement, l) -> Matrix:
+    """Matrix of trace(weight * c_j * c_k), from _trace_gram_num."""
+    num, den = _trace_gram_num(weight, l)
+    n = len(l)
+    return Matrix(n, n, [Fraction(v, den) for v in num])
 
 
 def power_basis_form(algebra: EtaleAlgebra) -> tuple:
@@ -170,10 +176,10 @@ def power_basis_form(algebra: EtaleAlgebra) -> tuple:
 
 def build_quadrics(inp: DescentInput) -> DP4Surface:
     """The two rational Gram matrices trace(a c_j c_k), trace(b c_j c_k)."""
-    g0 = trace_gram(inp.a, inp.l)
-    g1 = trace_gram(inp.b, inp.l)
+    q0 = QuadForm._from_num(DEGREE, *_trace_gram_num(inp.a, inp.l))
+    q1 = QuadForm._from_num(DEGREE, *_trace_gram_num(inp.b, inp.l))
     try:
-        return DP4Surface(QuadForm(g0), QuadForm(g1), provenance=inp)
+        return DP4Surface(q0, q1, provenance=inp)
     except DegeneratePencilError:
         raise DegeneratePencilError(
             "a and b produce proportional forms (degenerate pencil)")

@@ -1,18 +1,21 @@
 """Quadratic and cubic forms, projective points and lines, quadric pencils.
 
-Quadratic forms are symmetric Gram matrices over Q (half-integer entries
-appear when polynomial cross coefficients are odd); cubic forms in four
-variables are sparse exponent-tuple maps.  Projective points are primitive
-integer vectors with the first nonzero coordinate positive.
+Quadratic forms are symmetric Gram matrices over Q, as integer numerators
+over one denominator (half-integer entries appear when polynomial cross
+coefficients are odd); cubic forms in four variables are sparse
+exponent-tuple maps.  Projective points are primitive integer vectors
+with the first nonzero coordinate positive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .intfactor import as_fraction, primitive_part
-from .linalg import Matrix, charpoly, det, nullspace, rank
+from .intfactor import as_fraction, over_common_denominator, primitive_part
+from .linalg import Matrix, _int_det, charpoly, nullspace, rank
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
@@ -33,13 +36,15 @@ def _exps(nvars: int, deg: int):
 
 
 class QuadForm:
-    """Quadratic form in n variables as a symmetric Gram matrix.
+    """Quadratic form in n variables: its symmetric Gram matrix G as the
+    row-major integer numerators num over one positive denominator den,
+    gcd(*num, den) = 1.  Kernels run on num and divide once, at the end.
 
-    Value at x is x^T * gram * x; the polynomial coefficient of x_i*x_j
+    Value at x is x^T * G * x; the polynomial coefficient of x_i*x_j
     (i < j) is twice the Gram entry.
     """
 
-    __slots__ = ("n", "gram")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, gram: Matrix):
         if gram.rows != gram.cols:
@@ -48,22 +53,36 @@ class QuadForm:
             raise PreconditionError("supported variable counts: 3, 4, 5")
         if not gram.is_symmetric():
             raise PreconditionError("Gram matrix must be symmetric")
+        num, self.den = over_common_denominator(gram._e)
         self.n = gram.rows
-        self.gram = gram
+        self.num = tuple(num)
+
+    @classmethod
+    def _from_num(cls, n: int, num, den: int) -> "QuadForm":
+        """The form whose Gram matrix has the row-major integer numerators
+        num, a symmetric matrix, over den > 0; reduced to lowest terms."""
+        if n not in (3, 4, 5):
+            raise PreconditionError("supported variable counts: 3, 4, 5")
+        g = gcd(*num, den)
+        q = cls.__new__(cls)
+        q.n = n
+        q.num = tuple(v // g for v in num)
+        q.den = den // g
+        return q
 
     @classmethod
     def from_poly_coeffs(cls, n: int, coeffs: dict) -> "QuadForm":
         """Build from {(i, j): c} polynomial coefficients of x_i x_j, i <= j."""
-        g = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), c in coeffs.items():
-            c = as_fraction(c)
+        ints, d = over_common_denominator(coeffs.values())
+        g = [[0] * n for _ in range(n)]
+        for (i, j), c in zip(coeffs, ints):
+            # the Gram matrix over 2 * d
             if i == j:
-                g[i][i] += c
+                g[i][i] += 2 * c
             else:
-                i, j = min(i, j), max(i, j)
-                g[i][j] += c / 2
-                g[j][i] += c / 2
-        return cls(Matrix.from_rows(g))
+                g[i][j] += c
+                g[j][i] += c
+        return cls._from_num(n, [x for row in g for x in row], 2 * d)
 
     @classmethod
     def from_upper(cls, n: int, upper) -> "QuadForm":
@@ -82,39 +101,53 @@ class QuadForm:
 
     @classmethod
     def diagonal(cls, values) -> "QuadForm":
-        return cls(Matrix.diagonal([as_fraction(v) for v in values]))
+        ints, d = over_common_denominator(values)
+        n = len(ints)
+        return cls._from_num(n, [ints[i] if i == j else 0
+                                 for i in range(n) for j in range(n)], d)
+
+    @property
+    def gram(self) -> Matrix:
+        """The Gram matrix num / den."""
+        return Matrix(self.n, self.n, [Fraction(v, self.den) for v in self.num])
 
     def upper_coeffs(self) -> list:
         """Row-major upper-triangular polynomial coefficients."""
-        out = []
-        for i in range(self.n):
-            for j in range(i, self.n):
-                out.append(self.gram[i, j] if i == j else 2 * self.gram[i, j])
-        return out
+        n, num = self.n, self.num
+        return [Fraction(num[i * n + j] if i == j else 2 * num[i * n + j],
+                         self.den) for i in range(n) for j in range(i, n)]
 
     def evaluate(self, point) -> Fraction:
-        v = [as_fraction(x) for x in point]
-        gv = self.gram.mul_vec(v)
-        return sum(a * b for a, b in zip(v, gv))
-
-    def gradient(self, point) -> tuple:
-        v = [as_fraction(x) for x in point]
-        return tuple(2 * x for x in self.gram.mul_vec(v))
+        x, d = over_common_denominator(point)
+        n, num = self.n, self.num
+        if len(x) != n:
+            raise PreconditionError(
+                f"point has {len(x)} coordinates, the form {n} variables")
+        return Fraction(sum(xi * sum(map(mul, num[i * n:(i + 1) * n], x))
+                            for i, xi in enumerate(x) if xi), self.den * d * d)
 
     def substitute(self, change: Matrix) -> "QuadForm":
-        """Form composed with x -> change * x (congruence of the Gram matrix)."""
+        """Form composed with x -> change * x: C^T * num * C on the
+        numerators C of change over d, divided by den * d^2."""
         if change.rows != self.n:
             raise PreconditionError("change of variables has wrong shape")
-        return QuadForm(change.transpose() @ self.gram @ change)
+        c, d = over_common_denominator(change._e)
+        n, m, num = self.n, change.cols, self.num
+        cols = [c[j::m] for j in range(m)]
+        rows = [num[i * n:(i + 1) * n] for i in range(n)]
+        nc = [[sum(map(mul, row, col)) for row in rows] for col in cols]
+        return QuadForm._from_num(m, [sum(map(mul, cj, nck)) for cj in cols
+                                      for nck in nc], self.den * d * d)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.gram._e)
+        return not any(self.num)
 
     def __eq__(self, other):
-        return isinstance(other, QuadForm) and self.gram == other.gram
+        return (isinstance(other, QuadForm) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.gram)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"QuadForm({self.n}, {self.upper_coeffs()})"
@@ -460,7 +493,21 @@ def restrict_to_hyperplane(q: QuadForm, l: LinForm):
         col[piv] = -l.coeffs[j] / l.coeffs[piv]
         cols.append(col)
     basis = Matrix(4, 3, [cols[j][i] for i in range(4) for j in range(3)])
-    return QuadForm(basis.transpose() @ q.gram @ basis), basis
+    return q.substitute(basis), basis
+
+
+def _pencil_minor(q0: QuadForm, q1: QuadForm, idx) -> UniPoly:
+    """det(t*A0 + A1) on the rows and columns idx, as a polynomial in t:
+    for A_i = N_i / d_i, integer determinants of t*d1*N0 + d0*N1,
+    interpolated, divided by (d0 * d1)^len(idx)."""
+    n, k = q0.n, len(idx)
+    a = [[q1.den * q0.num[i * n + j] for j in idx] for i in idx]
+    b = [[q0.den * q1.num[i * n + j] for j in idx] for i in idx]
+    ts = (0, 1, -1, 2, -2, 3)[:k + 1]
+    poly = UniPoly.interpolate(ts, [
+        _int_det([[t * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for t in ts])
+    return poly * Fraction(1, (q0.den * q1.den) ** k)
 
 
 def pencil_determinant(q0: QuadForm, q1: QuadForm) -> BinaryQuintic:
@@ -470,33 +517,30 @@ def pencil_determinant(q0: QuadForm, q1: QuadForm) -> BinaryQuintic:
     """
     if q0.n != 5 or q1.n != 5:
         raise PreconditionError("pencil determinant expects 5-variable forms")
-    ts = [0, 1, -1, 2, -2, 3]
-    poly = UniPoly.interpolate(ts, [det(q0.gram.scale(t) + q1.gram) for t in ts])
+    poly = _pencil_minor(q0, q1, range(5))
     return BinaryQuintic([poly[k] for k in range(6)])
 
 
 def line_section_cubic(s: CubicForm4, line: ProjLine) -> list:
     """Coefficients [c0..c3] of S(u*P + v*Q) as a binary cubic in (u, v):
-    c_k multiplies u^k * v^(3-k)."""
+    c_k multiplies u^k * v^(3-k).  Runs on the coefficients over their
+    common denominator and the integer points, and divides once."""
     p, q = line.points
-    out = [Fraction(0)] * 4
-    for e, c in s.coeffs.items():
-        factors = []
-        for i in range(4):
-            factors.extend([(Fraction(p[i]), Fraction(q[i]))] * e[i])
-        acc = [c, Fraction(0), Fraction(0), Fraction(0)]
+    nums, d = over_common_denominator(s.coeffs.values())
+    out = [0] * 4
+    for e, c in zip(s.coeffs, nums):
+        acc = [c, 0, 0, 0]
         deg = 0
-        for (a, b) in factors:
-            nxt = [Fraction(0)] * 4
-            for k in range(deg + 1):
-                if acc[k]:
-                    nxt[k + 1] += acc[k] * a
-                    nxt[k] += acc[k] * b
-            acc = nxt
-            deg += 1
-        for k in range(4):
-            out[k] += acc[k]
-    return out
+        for a, b, k in zip(p, q, e):
+            for _ in range(k):
+                # acc <- acc * (a*u + b*v)
+                for j in range(deg, -1, -1):
+                    acc[j + 1] += acc[j] * a
+                    acc[j] *= b
+                deg += 1
+        for j in range(4):
+            out[j] += acc[j]
+    return [Fraction(v, d) for v in out]
 
 
 def contains_line(s: CubicForm4, line: ProjLine) -> bool:

@@ -23,10 +23,10 @@ from .errors import (DegeneratePencilError, DegenerateSurfaceError,
                      LineNotOnSurfaceError, PointNotOnSurfaceError,
                      PreconditionError)
 from .forms import (CubicForm4, LinForm, ProjLine, ProjPoint, QuadForm,
-                    contains_line, monomials_deg3, p1_normalize,
-                    pencil_determinant)
-from .intfactor import squarefree_class
-from .linalg import Matrix, det, nullspace, rank, solve_linear
+                    _pencil_minor, contains_line, monomials_deg3,
+                    p1_normalize, pencil_determinant)
+from .intfactor import over_common_denominator, squarefree_class
+from .linalg import Matrix, _int_det, _int_rank, nullspace, rank, solve_linear
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
@@ -105,24 +105,25 @@ def _decompose(F: CubicForm4, l0: LinForm, l1: LinForm):
 
 
 def _assemble_quadric5(q: QuadForm, l: LinForm, sign: int) -> QuadForm:
-    """q(x0..x3) + sign * l(x0..x3) * x4 as a 5-variable form."""
-    g = [[Fraction(0)] * 5 for _ in range(5)]
+    """q(x0..x3) + sign * l(x0..x3) * x4 as a 5-variable form: with
+    q = N / d and l = L / e, the Gram numerators over 2 * d * e are 2*e*N
+    bordered by sign * d * L."""
+    ls, e = over_common_denominator(l.coeffs)
+    border = [sign * q.den * v for v in ls]
+    num = []
     for i in range(4):
-        for j in range(4):
-            g[i][j] = q.gram[i, j]
-    for j in range(4):
-        g[j][4] = sign * l.coeffs[j] / 2
-        g[4][j] = sign * l.coeffs[j] / 2
-    return QuadForm(Matrix.from_rows(g))
+        num.extend(2 * e * v for v in q.num[4 * i:4 * i + 4])
+        num.append(border[i])
+    return QuadForm._from_num(5, num + border + [0], 2 * q.den * e)
 
 
 def _split_quadric5(Q: QuadForm):
     """Inverse of _assemble_quadric5 for a form with no x4^2 term."""
-    if Q.gram[4, 4] != 0:
+    if Q.num[24]:
         raise PreconditionError("quadric has an x4^2 term")
-    g = [[Q.gram[i, j] for j in range(4)] for i in range(4)]
-    q = QuadForm(Matrix.from_rows(g))
-    l = LinForm([2 * Q.gram[j, 4] for j in range(4)])
+    q = QuadForm._from_num(
+        4, [Q.num[5 * i + j] for i in range(4) for j in range(4)], Q.den)
+    l = LinForm([Fraction(2 * Q.num[5 * j + 4], Q.den) for j in range(4)])
     return q, l
 
 
@@ -189,10 +190,10 @@ def _unimodular_point_move(p: ProjPoint) -> Matrix:
     return Matrix.from_rows(c)
 
 
-def _divide_quad_by_linear(q: QuadForm, l: LinForm) -> LinForm | None:
-    """h with q = l * h, or None when l does not divide q."""
+def _divide_quad_by_linear(upper, l: LinForm) -> LinForm | None:
+    """h with q = l * h for the quadric q with the polynomial coefficients
+    upper, in QUAD_INDEX order, or None when l does not divide q."""
     rows = []
-    rhs = []
     for (i, j) in QUAD_INDEX:
         row = [Fraction(0)] * 4
         # coefficient of x_i x_j in l * h
@@ -200,8 +201,7 @@ def _divide_quad_by_linear(q: QuadForm, l: LinForm) -> LinForm | None:
         if i != j:
             row[i] += l.coeffs[j]
         rows.append(row)
-        rhs.append(q.gram[i, j] if i == j else 2 * q.gram[i, j])
-    sol = solve_linear(Matrix.from_rows(rows), rhs)
+    sol = solve_linear(Matrix.from_rows(rows), upper)
     if sol is None:
         return None
     return LinForm(sol)
@@ -216,27 +216,34 @@ def dp4_to_cubic(V: DP4Surface, P: ProjPoint) -> CubicSurface:
     if V.Q0.evaluate(P.coords) != 0 or V.Q1.evaluate(P.coords) != 0:
         raise PointNotOnSurfaceError(f"{P} does not lie on both quadrics")
     c = _unimodular_point_move(P)
-    q0, l0 = _split_quadric5(V.Q0.substitute(c))
-    q1, l1 = _split_quadric5(V.Q1.substitute(c))
+    Q0, Q1 = V.Q0.substitute(c), V.Q1.substitute(c)
+    _, l0 = _split_quadric5(Q0)
+    _, l1 = _split_quadric5(Q1)
     if rank(Matrix.from_rows([l0.coeffs, l1.coeffs])) != 2:
         raise DegenerateSurfaceError(
             "blow-up produces dependent cut forms (bad point)")
 
+    # with Q_i = N_i / d_i, q_i has the coefficients U_i / d_i (U_i the
+    # upper numerators of N_i) and l_i = 2 * L_i / d_i (L_i the last
+    # column of N_i): F = 2 * (U0 * L1 - U1 * L0) / (d0 * d1)
     f_terms: dict = {}
-    for (qq, ll, sign) in ((q0, l1, +1), (q1, l0, -1)):
-        for (i, j), cc in zip(QUAD_INDEX, qq.upper_coeffs()):
+    for (qq, ll, sign) in ((Q0, Q1, +1), (Q1, Q0, -1)):
+        for (i, j) in QUAD_INDEX:
+            cc = qq.num[5 * i + j] * (1 if i == j else 2)
             if cc == 0:
                 continue
             for k in range(4):
-                if ll.coeffs[k] == 0:
+                lk = ll.num[5 * k + 4]
+                if lk == 0:
                     continue
                 e = [0, 0, 0, 0]
                 e[i] += 1
                 e[j] += 1
                 e[k] += 1
                 e = tuple(e)
-                f_terms[e] = f_terms.get(e, Fraction(0)) + sign * cc * ll.coeffs[k]
-    F = CubicForm4(f_terms)
+                f_terms[e] = f_terms.get(e, 0) + sign * cc * lk
+    den = Q0.den * Q1.den
+    F = CubicForm4({e: Fraction(2 * v, den) for e, v in f_terms.items()})
     if F.is_zero():
         raise DegenerateSurfaceError("blow-up produces the zero cubic")
     return CubicSurface(F, known_line=ProjLine.from_forms(l0, l1))
@@ -257,7 +264,8 @@ def roundtrip_check(V: DP4Surface, P: ProjPoint) -> bool:
     V2, a_star, _ = cubic_to_dp4(S, l0, l1)
     c = _unimodular_point_move(P)
     q1, _ = _split_quadric5(V.Q1.substitute(c))
-    h = _divide_quad_by_linear(QuadForm(a_star.gram + q1.gram), l1)
+    h = _divide_quad_by_linear(
+        [a + b for a, b in zip(a_star.upper_coeffs(), q1.upper_coeffs())], l1)
     assert h is not None, "decomposition gauge is always an x4 shear"
     w = [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
     for j in range(4):
@@ -269,27 +277,12 @@ def roundtrip_check(V: DP4Surface, P: ProjPoint) -> bool:
 
 
 def _same_span(pair_a, pair_b) -> bool:
-    def vec(q):
-        return [x for x in q.gram._e]
+    def rank_of(*forms):
+        return _int_rank([list(q.num) for q in forms])
 
-    rows_a = [vec(q) for q in pair_a]
-    rows_b = [vec(q) for q in pair_b]
-    if rank(Matrix.from_rows(rows_a)) != 2 or rank(Matrix.from_rows(rows_b)) != 2:
+    if rank_of(*pair_a) != 2 or rank_of(*pair_b) != 2:
         return False
-    return rank(Matrix.from_rows(rows_a + rows_b)) == 2
-
-
-def _principal_minor(m: Matrix, k: int) -> Fraction:
-    """det of m with row and column k deleted."""
-    idx = [i for i in range(m.rows) if i != k]
-    return det(Matrix.from_rows([[m[i, j] for j in idx] for i in idx]))
-
-
-def _minor_poly(gram0: Matrix, gram1: Matrix, k: int) -> UniPoly:
-    """det of (t*gram0 + gram1) with row/col k deleted, as a polynomial in t."""
-    ts = [0, 1, -1, 2, 3]
-    return UniPoly.interpolate(
-        ts, [_principal_minor(gram0.scale(t) + gram1, k) for t in ts])
+    return rank_of(*pair_a, *pair_b) == 2
 
 
 def tritangent_analysis(V: DP4Surface) -> list:
@@ -307,10 +300,13 @@ def tritangent_analysis(V: DP4Surface) -> list:
     dehom = bq.dehomogenized()
     entries = []
     origin = V.provenance if isinstance(V.provenance, CubicOrigin) else None
+    d0, d1 = V.Q0.den, V.Q1.den
 
     def make_rational_entry(lam, mu, mult):
-        m = V.Q0.gram.scale(lam) + V.Q1.gram.scale(mu)
-        ker = nullspace(m)
+        # d0 * d1 * (lam * A0 + mu * A1) on the integer numerators: the
+        # same kernel, and each 4 x 4 minor (d0 * d1)^4 times as large
+        m = [lam * d1 * x + mu * d0 * y for x, y in zip(V.Q0.num, V.Q1.num)]
+        ker = nullspace(Matrix(5, 5, m))
         rk = 5 - len(ker)
         kernel = disc = None
         if len(ker) == 1:
@@ -318,7 +314,9 @@ def tritangent_analysis(V: DP4Surface) -> list:
             # kernel is a complement of it
             kernel = ker[0]
             k = next(i for i, x in enumerate(kernel) if x)
-            disc = squarefree_class(_principal_minor(m, k))
+            idx = [i for i in range(5) if i != k]
+            minor = _int_det([[m[5 * i + j] for j in idx] for i in idx])
+            disc = squarefree_class(Fraction(minor, (d0 * d1) ** 4))
         plane = None
         if origin is not None:
             coeffs = [lam * origin.l1.coeffs[j] - mu * origin.l0.coeffs[j]
@@ -349,7 +347,7 @@ def _conjugate_norm_class(V: DP4Surface, f: UniPoly) -> int | None:
     """Square class of the product, over the roots of f, of the complement
     determinant of the degenerate member t*A0 + A1."""
     for k in range(5):
-        g = _minor_poly(V.Q0.gram, V.Q1.gram, k)
+        g = _pencil_minor(V.Q0, V.Q1, [i for i in range(5) if i != k])
         if g.is_zero():
             continue
         if f.gcd(g).degree == 0:

@@ -7,9 +7,10 @@ first nonzero entry positive.  A caller whose convention puts another
 entry first passes its values in that order.
 
 Squarefree parts use trial division up to a configurable bound, then
-Brent-cycle Pollard rho with Miller-Rabin primality testing.  A cofactor
-that resists factoring is returned flagged, never silently treated as
-prime or squarefree.
+Brent-cycle Pollard rho, capped in steps, with Miller-Rabin primality
+testing.  A cofactor that resists factoring is returned flagged, never
+silently treated as prime or squarefree, and squarefree_class raises
+BudgetExceededError on it unless it is a square.
 """
 
 from __future__ import annotations
@@ -18,11 +19,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .errors import BudgetExceededError
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3e24; for larger
 # inputs the same bases make the test probabilistic with negligible error.
 _MR_BASES = _SMALL_PRIMES
+
+# Steps of one Pollard rho call.  A prime factor p takes about sqrt(p)
+# steps, so the cap splits off factors of up to about 12 digits and bounds
+# the wait on a cofactor with none that small.
+_RHO_STEPS = 1 << 22
 
 
 def as_fraction(x) -> Fraction:
@@ -95,15 +103,21 @@ def is_probable_prime(n: int) -> bool:
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of composite odd n, or n itself on failure.
 
-    Brent's variant with a deterministic sequence of offsets.
+    Brent's variant with a deterministic sequence of offsets.  A round
+    with cycle length r takes at most 2r steps; once the rounds of all
+    offsets have taken _RHO_STEPS steps, the call fails.
     """
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 50):
         y, m = 2, 128
         g = r = q = 1
         x = ys = 0
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                return n
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -212,7 +226,9 @@ def squarefree_class(q) -> int:
         return 0
     res = squarefree_part(q.numerator * q.denominator)
     if not res.complete:
-        raise ValueError(f"could not certify squarefree part of {q}")
+        raise BudgetExceededError(
+            f"could not certify a squarefree part: a composite cofactor of "
+            f"{len(str(res.cofactor))} digits resisted factoring")
     return res.value
 
 

@@ -171,35 +171,49 @@ def _bareiss_echelon(rows):
     return pivots, sign
 
 
-def _echelon(m: Matrix):
-    """(rows, pivots, sign, scale): the fraction-free row echelon form of
-    m with each row first rescaled to integers, scale being the product of
-    the row multipliers; its pivot positions; the sign of its row swaps."""
+def _integer_rows(m: Matrix):
+    """(rows, scale): each row of m rescaled to integers, and the product
+    of the multipliers."""
     rows, scale = [], 1
     for i in range(m.rows):
         ints, d = over_common_denominator(m.row(i))
         rows.append(ints)
         scale *= d
+    return rows, scale
+
+
+def _echelon(m: Matrix):
+    """(rows, pivots, sign, scale): the Bareiss echelon form of
+    _integer_rows(m), its pivot positions and the sign of its swaps."""
+    rows, scale = _integer_rows(m)
+    return (rows, *_bareiss_echelon(rows), scale)
+
+
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix; eliminates in rows."""
+    n = len(rows)
     pivots, sign = _bareiss_echelon(rows)
-    return rows, pivots, sign, scale
+    if len(pivots) < n:
+        return 0
+    return sign * rows[n - 1][n - 1] if n else 1
+
+
+def _int_rank(rows) -> int:
+    """Rank of an integer matrix; eliminates in rows."""
+    return len(_bareiss_echelon(rows)[0])
 
 
 def det(m: Matrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
         raise NonSquareMatrixError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    rows, pivots, sign, scale = _echelon(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * rows[n - 1][pivots[n - 1][1]], scale)
+    rows, scale = _integer_rows(m)
+    return Fraction(_int_det(rows), scale)
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
-    return len(_echelon(m)[1])
+    return _int_rank(_integer_rows(m)[0])
 
 
 def rank_mod_p(rows, p: int) -> int:

@@ -62,10 +62,12 @@ def verify_point(V: DP4Surface, P) -> bool:
 
 def _int_quadrics(V: DP4Surface):
     """Integer polynomial coefficient dicts {(i,j): int} of both quadrics,
-    each the primitive part of its form (scaling a form keeps its zeros)."""
+    each the primitive part of its form (scaling a form keeps its zeros),
+    read off the Gram numerators: N_ii and 2 * N_ij."""
     index = [(i, j) for i in range(5) for j in range(i, 5)]
-    return [dict(zip(index, primitive_part(q.upper_coeffs())[1]))
-            for q in (V.Q0, V.Q1)]
+    return [dict(zip(index, primitive_part(
+        [q.num[5 * i + j] * (1 if i == j else 2) for i, j in index])[1]))
+        for q in (V.Q0, V.Q1)]
 
 
 def _eval_int(cs: dict, x) -> int:

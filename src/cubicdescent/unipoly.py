@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import ZeroPolynomialError
-from .intfactor import as_fraction, primitive_part
+from .intfactor import as_fraction, over_common_denominator, primitive_part
 
 
 class UniPoly:
@@ -54,14 +54,27 @@ class UniPoly:
     @classmethod
     def interpolate(cls, ts, values) -> "UniPoly":
         """The polynomial of degree < len(ts) taking values[i] at the
-        distinct nodes ts[i], by Lagrange's formula."""
-        ts = [as_fraction(t) for t in ts]
-        acc = cls.zero()
-        for i, (ti, vi) in enumerate(zip(ts, values)):
-            others = ts[:i] + ts[i + 1:]
-            acc = acc + cls.from_roots(others) * (
-                as_fraction(vi) / prod(ti - tj for tj in others))
-        return acc
+        distinct nodes ts[i]: with ts = T / dt and values = V / dv,
+        Newton's divided differences of w * V at the integer nodes T, w
+        the product of the differences T_j - T_i (i < j), which makes
+        every division exact; q(s) = p(s / dt) is their Newton form over
+        w * dv, and p_k = q_k * dt^k."""
+        nodes, dt = over_common_denominator(ts)
+        diff, dv = over_common_denominator(values)
+        n = len(nodes)
+        w = prod(b - a for i, a in enumerate(nodes) for b in nodes[i + 1:])
+        diff = [w * v for v in diff]
+        newton = diff[:1]
+        for k in range(1, n):
+            diff = [(diff[i + 1] - diff[i]) // (nodes[i + k] - nodes[i])
+                    for i in range(n - k)]
+            newton.append(diff[0])
+        # Horner on c_0 + (s - T_0)(c_1 + (s - T_1)(c_2 + ...))
+        acc = []
+        for c, t in zip(reversed(newton), reversed(nodes)):
+            acc = [a - t * b for a, b in zip([0] + acc, acc + [0])]
+            acc[0] += c
+        return cls([Fraction(c * dt ** k, w * dv) for k, c in enumerate(acc)])
 
     @property
     def degree(self) -> int:

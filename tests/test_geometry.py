@@ -5,7 +5,7 @@ import pytest
 
 from cubicdescent.descent import DP4Surface, run_strategy
 from cubicdescent.errors import (DegenerateSurfaceError, LineNotOnSurfaceError,
-                                 PointNotOnSurfaceError)
+                                 PointNotOnSurfaceError, PreconditionError)
 from cubicdescent.forms import (CubicForm4, LinForm, ProjLine, ProjPoint,
                                 QuadForm, contains_line, monomials_deg3,
                                 restrict_to_hyperplane, signature)
@@ -17,6 +17,7 @@ from cubicdescent.geometry import (SHEARS, CubicSurface, _shear,
                                    tritangent_square_product)
 from cubicdescent.intfactor import squarefree_class
 from cubicdescent.linalg import Matrix, det, inverse, rank
+from cubicdescent.pointsearch import verify_point
 
 from conftest import (PAPER_POINT, PAPER_Q0_COEFFS, PAPER_Q1_COEFFS,
                       random_cubic_with_line, random_dp4_with_point,
@@ -351,3 +352,12 @@ def test_greedy_reduce_matches_oracle_on_planted_pairs():
             continue
         _assert_matches_oracle(S)
         done += 1
+
+
+@pytest.mark.parametrize("caller", [dp4_to_cubic, roundtrip_check,
+                                    verify_point])
+def test_wrong_length_point_is_a_precondition_error(caller, paper_dp4):
+    # a point of P^3 on a pair in P^4 is a library error (exit 3), not a
+    # shape mismatch inside the linear algebra
+    with pytest.raises(PreconditionError, match="4 coordinates"):
+        caller(paper_dp4, ProjPoint([1, 2, 3, 4]))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubicdescent.errors import BudgetExceededError
 from cubicdescent.intfactor import (factorize, is_perfect_square,
                                     is_probable_prime, primes_up_to,
                                     squarefree_class, squarefree_part)
@@ -45,6 +46,14 @@ def test_flagged_partial_result():
     factors, cofactor = factorize(n, trial_bound=10, rho_rounds=0)
     assert cofactor == n and factors == {}
     assert res.complete  # the default configuration does factor it
+
+
+def test_uncertified_class_is_a_budget_error():
+    # the primes 2^61 - 1 and 2^89 - 1: rho would need about 2^30 steps to
+    # split their product, and gives up at its cap instead
+    n = (2 ** 61 - 1) * (2 ** 89 - 1)
+    with pytest.raises(BudgetExceededError, match="cofactor of 46 digits"):
+        squarefree_class(Fraction(n, 4))
 
 
 def test_is_perfect_square():
