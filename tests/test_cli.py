@@ -154,18 +154,18 @@ def test_cli_bad_point_exit_code(paper_dp4, tmp_path):
 
 
 def test_cli_tritangents_uncertified_class_exit_code(tmp_path):
-    # the member at (0 : 1) of this pencil is sum p_i x_i^2 for four primes
-    # of 26 digits: its complement determinant is their product, which
-    # Pollard rho cannot split within its step cap, so the square class
-    # stays uncertified and the run stops with exit 10
+    # the member at (0 : 1) of this pencil is p0 x0^2 + p1 x1^2 + x2^2 +
+    # x3^2 for the first two primes above 10^20: its complement
+    # determinant is p0 p1, which Pollard rho cannot split within its step
+    # cap, so the square class stays uncertified and the run exits 10
     from cubicdescent.descent import DP4Surface
     from cubicdescent.forms import QuadForm
     from cubicdescent.intfactor import is_probable_prime
 
-    primes = [10 ** 25 + k for k in (13, 223, 343, 349)]
+    primes = [10 ** 20 + 39, 10 ** 20 + 129]
     assert all(map(is_probable_prime, primes))
     v = DP4Surface(QuadForm.diagonal([1] * 5),
-                   QuadForm.diagonal(primes + [0]))
+                   QuadForm.diagonal(primes + [1, 1, 0]))
     path = tmp_path / "dp4.json"
     path.write_text(json.dumps(emit_dp4(v)))
     r = _run(["tritangents", "-i", str(path)])
