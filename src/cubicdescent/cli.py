@@ -137,6 +137,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_search_points(args) -> int:
+    if args.height < 1:
+        raise E.InvalidConfigError("height must be positive")
     v = parse_dp4(_read_json(args.input))
     res = search(v, args.height)
     for p in res.points:

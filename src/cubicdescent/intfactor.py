@@ -8,7 +8,8 @@ entry first passes its values in that order.
 
 Squarefree parts use trial division up to a configurable bound, then
 Brent-cycle Pollard rho, capped in steps, with Miller-Rabin primality
-testing.  A cofactor that resists factoring is returned flagged, never
+testing; a perfect square is split by its integer square root, not by
+rho.  A cofactor that resists factoring is returned flagged, never
 silently treated as prime or squarefree, and squarefree_class raises
 BudgetExceededError on it unless it is a square.
 """
@@ -157,26 +158,32 @@ def factorize(n: int, trial_bound: int = 100000, rho_rounds: int = 64):
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
-    stack = [m] if m > 1 else []
+    # (m, e): m**e divides what is left; a square m = r**2 goes back as
+    # (r, 2e) without a rho call
+    stack = [(m, 1)] if m > 1 else []
     budget = rho_rounds
     cofactor = 1
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + e
+            continue
+        r = isqrt(m)
+        if r * r == m:
+            stack.append((r, 2 * e))
             continue
         if budget <= 0:
-            cofactor *= m
+            cofactor *= m ** e
             continue
         budget -= 1
         d = _pollard_brent(m)
         if d in (1, m):
-            cofactor *= m
+            cofactor *= m ** e
             continue
-        stack.append(d)
-        stack.append(m // d)
+        stack.append((d, e))
+        stack.append((m // d, e))
     return factors, cofactor
 
 

@@ -2,31 +2,48 @@
 
 Height convention: max absolute coordinate of the primitive integer
 representative.  The kernel is a residue sieve with an exact finish.  For
-each prime ell in SIEVE_PRIMES a table over residues mod ell records which
-(x0, x1, x2, x3) mod ell extend to a common zero of both quadrics mod ell.
-A table is one lookup, with no loop over x4 mod ell: each form is
-fixed + linear*x4 + sq*x4^2, fixed and linear are evaluated once over the
-ell^4 grid in int16 (every sum below RESIDUE_BOUND) and reduced mod ell,
-and the residue pair (fixed, linear) indexes a uint16 bitmask of the
-zeros over x4 mod ell; the two masks are ANDed.  Once per call the tables
-are read at the residues of the searched coordinates -H..H and packed
-into bit rows of 2H + 1 cells (np.packbits, zero padding to whole bytes):
-the x3 row of each (a0, a1, a2) in the full table and the x2 row of each
-(a0, a1) in the table projected to three coordinates.  Stage 1 ANDs the
-x2 rows of every x1 for each x0 (sign-normalized); stage 2 ANDs the x3
-rows of every surviving triple, the triple (0, 0, 0) included, so points
-(0 : 0 : 0 : x3 : x4) need no loop of their own.  Only rows with a bit
-left are unpacked.  Each surviving 4-tuple is solved for x4 as a conic in
-plain Python integers and every root other than the zero tuple is
-re-verified on both quadrics.  Only residues below ell, bitmasks and bits
-enter numpy, so no coefficient size can overflow it.
+each prime ell in SIEVE_PRIMES a mask table M[a0, a1, a2, a3] over
+residues mod ell holds, in bit a4, whether (a0, ..., a4) is a common zero
+of both quadrics mod ell.  A table is one lookup, with no loop over x4
+mod ell: each form is fixed + linear*x4 + sq*x4^2, fixed and linear are
+evaluated once over the ell^4 grid in int16 (every sum below
+RESIDUE_BOUND) and reduced mod ell, and the residue pair (fixed, linear)
+indexes a uint16 bitmask of the zeros over x4 mod ell; the two masks are
+ANDed.  Once per call the tables are read at the residues of the searched
+coordinates -H..H and packed into bit rows of 2H + 1 cells (np.packbits,
+zero padding to whole uint64 words): the x3 row of each (a0, a1, a2)
+where M is nonzero, and the x2 row of each (a0, a1) where it is nonzero
+for some a3.  The tables of the five primes are stacked, so each stage
+reads all of them with one np.take of flat residue indices.
+
+The search runs in array passes over chunks of x0 values (sign-normalized
+at x0 = 0):
+
+- stage 1 ANDs the x2 rows of every (x0, x1) of a chunk; the set bits are
+  the triples (x0, x1, x2) left, read as flat indices of the unpacked bits
+  of the rows that have any;
+- stage 2 ANDs the x3 rows of every surviving triple, the triple (0, 0, 0)
+  included, so points (0 : 0 : 0 : x3 : x4) need no loop of their own;
+- stage 3 is an x4 sieve: for each surviving 4-tuple it ANDs bit
+  (x4 mod ell) of the five masks, for every x4 in -H..H.  Only the x4
+  left are candidates, and every candidate other than the zero tuple is
+  checked exactly on both quadrics in plain Python integers.
+
+CHUNK bounds the cells of every pass, whatever H is: a chunk holds as many
+x0 values as keep its (x0, x1, x2) cells within CHUNK (at least one), and
+stages 2 and 3 take blocks of at most CHUNK // (2H + 1) triples or tuples.
+A true point passes every test mod ell, so the search stays exhaustive.
+Only residues below ell, bitmasks, bits and indices enter numpy, so no
+coefficient size can overflow it.  The result counts the triples past
+stage 1, the tuples past stage 2 and the candidates past the x4 sieve.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -40,6 +57,12 @@ SIEVE_PRIMES = (3, 5, 7, 11, 13)
 #: coefficient residue times two coordinate residues, all below ell
 RESIDUE_BOUND = 15 * (max(SIEVE_PRIMES) - 1) ** 3
 assert RESIDUE_BOUND <= np.iinfo(np.int16).max
+#: the counts of SearchResult.sieve: triples past stage 1, tuples past
+#: stage 2 and candidates past the x4 sieve
+SIEVE_COUNTS = ("triples", "tuples", "candidates")
+#: cells of one array pass: a chunk of x0 values whose (x0, x1, x2) cells
+#: fit (at least one x0), and blocks of (triple, x3) and (tuple, x4) cells
+CHUNK = 1 << 16
 
 
 @dataclass
@@ -48,6 +71,9 @@ class SearchResult:
     height_bound: int
     convention: str = "max-abs-coordinate of primitive representative"
     elapsed_ms: float = 0.0
+    #: {name: count} for the names in SIEVE_COUNTS (None for a search
+    #: without the sieve)
+    sieve: dict | None = None
 
     @property
     def count(self) -> int:
@@ -104,35 +130,6 @@ def brute_force_search(V: DP4Surface, H: int) -> SearchResult:
     return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)
 
 
-def _solve_conic_in_x4(a, b, c, H):
-    """Integer roots x4, |x4| <= H, of a*x4^2 + b*x4 + c (every x4 in
-    range when all three vanish)."""
-    out = []
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                out.extend(range(-H, H + 1))
-            return out
-        if c % b == 0:
-            x4 = -c // b
-            if abs(x4) <= H:
-                out.append(x4)
-        return out
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return out
-    r = isqrt(disc)
-    if r * r != disc:
-        return out
-    for s in (r, -r):
-        num = -b + s
-        if num % (2 * a) == 0:
-            x4 = num // (2 * a)
-            if abs(x4) <= H:
-                out.append(x4)
-    return sorted(set(out))
-
-
 def _reduce(x: np.ndarray, ell: int) -> np.ndarray:
     """x mod ell for a nonnegative integer array.  numpy divides by a
     scalar in a vectorized loop but has none for the remainder: on 13^4
@@ -152,16 +149,16 @@ def _zero_masks(sq: int, ell: int) -> np.ndarray:
 
 
 def _residue_table(c0: dict, c1: dict, ell: int) -> np.ndarray:
-    """Boolean table T[a0, a1, a2, a3] over residues mod ell: True iff some
-    a4 mod ell makes both integer forms vanish mod ell.
+    """Mask table M[a0, a1, a2, a3] over residues mod ell (uint16): bit a4
+    is set iff both integer forms vanish at (a0, ..., a4) mod ell.
 
     As a polynomial in a4 each form is fixed + linear*a4 + sq*a4^2, with
     fixed and linear forms in a0..a3.  Both are evaluated once over the
-    ell^4 grid and reduced mod ell; then T = Z0[fixed0*ell + linear0] &
-    Z1[fixed1*ell + linear1] != 0, where Zk holds the zero bitmask over a4
-    of each (fixed, linear) residue pair (_zero_masks).  Every integer
-    point reduces into a True entry, whether or not the reduction mod ell
-    is good, so the table only ever discards tuples with no solution.
+    ell^4 grid and reduced mod ell; then M = Z0[fixed0*ell + linear0] &
+    Z1[fixed1*ell + linear1], where Zk holds the zero bitmask over a4 of
+    each (fixed, linear) residue pair (_zero_masks).  Every integer point
+    reduces onto a set bit, whether or not the reduction mod ell is good,
+    so the table only ever discards tuples with no solution.
 
     fixed is built in Horner order, one coordinate at a time, so most
     products run on grids of fewer dimensions: fixed_k = fixed_(k-1) +
@@ -172,7 +169,7 @@ def _residue_table(c0: dict, c1: dict, ell: int) -> np.ndarray:
     """
     a = np.arange(ell, dtype=np.int16)
     times = np.outer(a, a)                  # times[c] = c * a
-    hit = None
+    masks = None
     for cs in (c0, c1):
         r = {k: v % ell for k, v in cs.items()}
         fixed = np.zeros((), dtype=np.int16)
@@ -186,8 +183,34 @@ def _residue_table(c0: dict, c1: dict, ell: int) -> np.ndarray:
                 cols[j] = cols[j][..., None] + times[r[k, j]]
         cell = np.take(_zero_masks(r[4, 4], ell),
                        fixed * ell + _reduce(cols[4], ell))
-        hit = cell if hit is None else hit & cell
-    return hit != 0
+        masks = cell if masks is None else masks & cell
+    return masks
+
+
+def _stack(tables):
+    """The tables of all sieve primes as one array, concatenated along the
+    first axis, and the column (primes, 1) of each prime's offset in it."""
+    sizes = [len(t) for t in tables]
+    return np.concatenate(tables), np.cumsum([0] + sizes[:-1])[:, None]
+
+
+def _pack_rows(t: np.ndarray, words: int) -> np.ndarray:
+    """The boolean rows along the last axis of t as bit rows of `words`
+    uint64 words each (np.packbits order, zero padding at the end)."""
+    packed = np.packbits(t, axis=-1)
+    out = np.zeros(packed.shape[:-1] + (8 * words,), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
+def _live_cells(rows: np.ndarray, width: int):
+    """(row, column) of every set bit of the bit rows, unpacking only the
+    rows with a bit set.  A row is tested word by word: a numpy reduction
+    along a short last axis costs about 20 ns a row."""
+    live = np.flatnonzero(functools.reduce(np.bitwise_or, rows.T))
+    k = np.flatnonzero(np.unpackbits(rows[live].view(np.uint8), axis=1,
+                                     count=width).view(bool))
+    return live[k // width], k % width
 
 
 def search(V: DP4Surface, H: int) -> SearchResult:
@@ -196,65 +219,90 @@ def search(V: DP4Surface, H: int) -> SearchResult:
         raise ValueError("height bound must be >= 1")
     t0 = time.monotonic()
     c0, c1 = _int_quadrics(V)
-    # Q0 as a conic a*x4^2 + b*x4 + c over (x0, x1, x2, x3)
-    sq = c0[4, 4]
-    lin = [c0[j, 4] for j in range(4)]
-    rest = [(i, j, c) for (i, j), c in c0.items() if j < 4 and c]
     width = 2 * H + 1
-    coords = np.arange(-H, H + 1)
-    sieve = []
-    for ell in SIEVE_PRIMES:
-        t4 = _residue_table(c0, c1, ell)
-        res = coords % ell
+    words = -(-width // 64)
+    ells = np.array(SIEVE_PRIMES)[:, None]
+    res = np.arange(-H, H + 1) % ells       # (primes, width) residues
+    bits = (1 << res).astype(np.uint16)     # the x4 bit of each residue
+    masks, x3rows, x2rows = [], [], []
+    for ell, r in zip(SIEVE_PRIMES, res):
+        m4 = _residue_table(c0, c1, ell)
+        t4 = m4 != 0
+        masks.append(m4.ravel())
         # bit rows over the searched coordinates: the x3 row of each
-        # (a0, a1, a2) in T4 and the x2 row of each (a0, a1) in T3;
-        # np.take gathers them contiguously, which packbits reads about
-        # twice as fast as the strided result of t4[..., res]
-        sieve.append((ell, res,
-                      np.packbits(np.take(t4, res, axis=3), axis=-1),
-                      np.packbits(np.take(t4.any(axis=3), res, axis=2),
-                                  axis=-1)))
+        # (a0, a1, a2) in t4 and the x2 row of each (a0, a1) in
+        # t4.any(axis=3); np.take gathers them contiguously, which
+        # packbits reads about twice as fast as the strided t4[..., r]
+        x3rows.append(_pack_rows(np.take(t4, r, axis=3), words)
+                      .reshape(ell ** 3, words))
+        x2rows.append(_pack_rows(np.take(t4.any(axis=3), r, axis=2), words)
+                      .reshape(ell ** 2, words))
+    x2rows, off2 = _stack(x2rows)
+    x3rows, off3 = _stack(x3rows)
+    masks, off4 = _stack(masks)
+    # idx[e], a row of a stacked table, is prime e's residue index of the
+    # coordinates so far plus its offset; one more coordinate with column
+    # i makes it idx * ell + code[e, i] in the next table
+    code2 = res + off2
+    code3 = res + off3 - ells * off2
+    code4 = res + off4 - ells * off3
     # sign normalization at x0 = 0: x1 >= 0, and x2 >= 0 when x1 = 0
-    nonneg = np.packbits(coords >= 0)
-    # stage 2 runs on blocks of at most 2**20 (x1, x2, x3) cells
-    block = max(1, (1 << 20) // width)
+    nonneg = _pack_rows(np.arange(-H, H + 1) >= 0, words)
+    per_chunk = max(1, CHUNK // width ** 2)
+    block = max(1, CHUNK // width)
+    counts = dict.fromkeys(SIEVE_COUNTS, 0)
     found: set = set()
 
-    def live_cells(rows):
-        """(row, column) of every set bit, unpacking only live rows."""
-        live = np.flatnonzero(rows.any(axis=1))
-        k, col = np.nonzero(np.unpackbits(rows[live], axis=1, count=width))
-        return live[k], col
+    def sieve_x4(idx4, row, i2, i3):
+        """Stage 3 on 4-tuples, given by their rows idx4 of the mask
+        table, the row x0 * width + x1 + H of their (x0, x1) and the
+        columns of x2 and x3: the last sieve prime on every (tuple, x4)
+        cell, the others on its survivors, then the exact check."""
+        for s in range(0, len(row), block):
+            m = np.take(masks, idx4[:, s:s + block])
+            k, i4 = np.divmod(
+                np.flatnonzero((m[-1, :, None] & bits[-1]) != 0), width)
+            keep = (np.take(m[:-1], k, axis=1)
+                    & np.take(bits[:-1], i4, axis=1)).all(axis=0)
+            k, i4 = k[keep] + s, i4[keep]
+            counts["candidates"] += len(k)
+            for pt in zip((row[k] // width).tolist(),
+                          (row[k] % width - H).tolist(), (i2[k] - H).tolist(),
+                          (i3[k] - H).tolist(), (i4 - H).tolist()):
+                # the zero tuple is no point; the rest verify exactly
+                if any(pt) and _eval_int(c0, pt) == 0 \
+                        and _eval_int(c1, pt) == 0:
+                    found.add(ProjPoint(pt))
 
-    for x0 in range(H + 1):
-        # stage 1: the x2 rows of every x1 against T3[x0 mod ell]
-        rows = None
-        for ell, res, _, x2rows in sieve:
-            r = x2rows[x0 % ell][res]
-            rows = r if rows is None else rows & r
-        if x0 == 0:
+    for start in range(0, H + 1, per_chunk):
+        # stage 1: the x2 rows of every (x0, x1) of the chunk
+        r0 = res[:, H + start:H + start + per_chunk]
+        idx = (r0[..., None] * ells[..., None]
+               + code2[:, None, :]).reshape(len(ells), -1)
+        rows = np.bitwise_and.reduce(np.take(x2rows, idx, axis=0), axis=0)
+        if start == 0:
             rows[:H] = 0
             rows[H] &= nonneg
-        i1, i2 = live_cells(rows)
-        # stage 2: the x3 row of each surviving triple against T4
-        for s in range(0, len(i1), block):
-            j1, j2 = i1[s:s + block], i2[s:s + block]
-            cells = None
-            for ell, res, x3rows, _ in sieve:
-                r = x3rows[x0 % ell][res[j1], res[j2]]
-                cells = r if cells is None else cells & r
-            ks, i3s = live_cells(cells)
-            x1s, x2s = (j1 - H).tolist(), (j2 - H).tolist()
-            for k, i3 in zip(ks.tolist(), i3s.tolist()):
-                x = (x0, x1s[k], x2s[k], i3 - H)
-                b = sum(cj * xj for cj, xj in zip(lin, x))
-                c = sum(cij * x[i] * x[j] for i, j, cij in rest)
-                for x4 in _solve_conic_in_x4(sq, b, c, H):
-                    pt = x + (x4,)
-                    # the zero tuple is no point; the rest verify exactly
-                    if (x4 or any(x)) and _eval_int(c0, pt) == 0 \
-                            and _eval_int(c1, pt) == 0:
-                        found.add(ProjPoint(pt))
+        r01, i2 = _live_cells(rows, width)
+        counts["triples"] += len(r01)
+        # stage 2: the x3 row of each surviving triple, in blocks; the
+        # tuples left wait for stage 3 until a block of them is full
+        waiting, size = [], 0
+        for s in range(0, len(r01), block):
+            j01, j2 = r01[s:s + block], i2[s:s + block]
+            idx3 = (np.take(idx, j01, axis=1) * ells
+                    + np.take(code3, j2, axis=1))
+            t, i3 = _live_cells(np.bitwise_and.reduce(
+                np.take(x3rows, idx3, axis=0), axis=0), width)
+            counts["tuples"] += len(t)
+            waiting.append((np.take(idx3, t, axis=1) * ells
+                            + np.take(code4, i3, axis=1),
+                            start * width + j01[t], j2[t], i3))
+            size += len(t)
+            if size >= block or s + block >= len(r01):
+                sieve_x4(*(np.concatenate(a, axis=-1) for a in zip(*waiting)))
+                waiting, size = [], 0
 
     pts = sorted(found)
-    return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)
+    return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000,
+                        sieve=counts)

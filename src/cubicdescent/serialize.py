@@ -17,7 +17,7 @@ from .errors import SchemaError
 from .etale import EtaleAlgebra
 from .forms import CubicForm4, LinForm, ProjLine, ProjPoint, QuadForm
 from .geometry import CubicSurface, TritangentEntry
-from .pointsearch import SearchResult
+from .pointsearch import SIEVE_COUNTS, SearchResult
 from .unipoly import UniPoly
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -195,25 +195,34 @@ def emit_radicand_report(rep: RadicandReport) -> dict:
 
 
 def emit_search_result(res: SearchResult) -> dict:
-    return {"schema": "search-result@1",
-            "height_bound": res.height_bound,
-            "convention": res.convention,
-            "count": res.count,
-            "points": [emit_point(p) for p in res.points],
-            "elapsed_ms": round(res.elapsed_ms, 3)}
+    out = {"schema": "search-result@1",
+           "height_bound": res.height_bound,
+           "convention": res.convention,
+           "count": res.count,
+           "points": [emit_point(p) for p in res.points],
+           "elapsed_ms": round(res.elapsed_ms, 3)}
+    if res.sieve is not None:
+        out["sieve"] = dict(res.sieve)
+    return out
 
 
 def parse_search_result(data) -> SearchResult:
     _check_keys(data, {"schema", "height_bound", "convention", "count",
-                       "points", "elapsed_ms"})
+                       "points", "elapsed_ms"}, {"sieve"})
     if data["schema"] != "search-result@1":
         raise SchemaError(f"expected search-result@1, got {data['schema']!r}")
     pts = [parse_point(p) for p in data["points"]]
     if len(pts) != data["count"]:
         raise SchemaError("count does not match point list")
+    sieve = data.get("sieve")
+    if sieve is not None:
+        if not isinstance(sieve, dict):
+            raise SchemaError("sieve must be an object of counts")
+        _check_keys(sieve, set(SIEVE_COUNTS))
+        sieve = {k: _int_from(sieve[k], f"sieve.{k}") for k in SIEVE_COUNTS}
     return SearchResult(pts, _int_from(data["height_bound"], "height_bound"),
                         convention=data["convention"],
-                        elapsed_ms=float(data["elapsed_ms"]))
+                        elapsed_ms=float(data["elapsed_ms"]), sieve=sieve)
 
 
 def emit_tritangent_entry(e: TritangentEntry) -> dict:

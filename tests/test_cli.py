@@ -175,6 +175,18 @@ def test_cli_tritangents_uncertified_class_exit_code(tmp_path):
     assert record["exit_code"] == 10
 
 
+@pytest.mark.parametrize("height", ["0", "-3"])
+def test_cli_search_points_height_below_one(paper_dp4, tmp_path, height):
+    dp4_path = tmp_path / "dp4.json"
+    dp4_path.write_text(json.dumps(emit_dp4(paper_dp4)))
+    proc = _run(["search-points", "-i", str(dp4_path), "-H", height])
+    assert proc.returncode == 2 and not proc.stdout
+    record = json.loads(proc.stderr)
+    assert record["error"] == "InvalidConfigError"
+    assert record["exit_code"] == 2
+    assert "height must be positive" in record["message"]
+
+
 def test_cli_schema_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "nope@9"}))

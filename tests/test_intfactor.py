@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from cubicdescent import intfactor
 from cubicdescent.errors import BudgetExceededError
 from cubicdescent.intfactor import (factorize, is_perfect_square,
-                                    is_probable_prime, primes_up_to,
-                                    squarefree_class, squarefree_part)
+                                    is_probable_prime, is_square_int,
+                                    primes_up_to, squarefree_class,
+                                    squarefree_part)
 
 
 def test_squarefree_900():
@@ -54,6 +56,36 @@ def test_uncertified_class_is_a_budget_error():
     n = (2 ** 61 - 1) * (2 ** 89 - 1)
     with pytest.raises(BudgetExceededError, match="cofactor of 46 digits"):
         squarefree_class(Fraction(n, 4))
+
+
+def test_squares_split_without_rho(monkeypatch):
+    # the primes above 10^20 of the CLI's exit-10 test: rho cannot split
+    # their product within its cap, so a stand-in that fails at once
+    # takes its place, and counts the calls
+    p0, p1 = 10 ** 20 + 39, 10 ** 20 + 129
+    calls = []
+
+    def no_split(n):
+        calls.append(n)
+        return n
+
+    monkeypatch.setattr(intfactor, "_pollard_brent", no_split)
+    k = 2 * 3 ** 3 * 7
+    factors, cofactor = factorize((p0 * p1) ** 2 * k)
+    assert calls == [p0 * p1]
+    assert factors == {2: 1, 3: 3, 7: 1} and cofactor == (p0 * p1) ** 2
+    assert squarefree_class(Fraction((p0 * p1) ** 2 * k, 5)) == 2 * 3 * 7 * 5
+    assert not any(is_square_int(n) for n in calls)
+
+
+def test_square_of_a_composite_factors_fully(monkeypatch):
+    calls = []
+    rho = intfactor._pollard_brent
+    monkeypatch.setattr(intfactor, "_pollard_brent",
+                        lambda n: calls.append(n) or rho(n))
+    p, q = 1000003, 1000033
+    assert factorize(12 * (p * q) ** 4) == ({2: 2, 3: 1, p: 4, q: 4}, 1)
+    assert calls == [p * q]
 
 
 def test_is_perfect_square():

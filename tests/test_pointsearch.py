@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cubicdescent import pointsearch
 from cubicdescent.descent import DP4Surface
 from cubicdescent.forms import ProjPoint, QuadForm
 from cubicdescent.pointsearch import (RESIDUE_BOUND, SIEVE_PRIMES,
@@ -102,8 +103,9 @@ def test_residue_bound_fits_int16():
     worst = {(i, j): ell - 1 for i in range(5) for j in range(i, 5)}
     table = _residue_table(worst, worst, ell)
     for a in product(range(ell), repeat=4):
-        expect = any(((sum(a) + a4) ** 2 + sum(x * x for x in a) + a4 * a4)
-                     // 2 % ell == 0 for a4 in range(ell))
+        expect = sum(1 << a4 for a4 in range(ell)
+                     if ((sum(a) + a4) ** 2 + sum(x * x for x in a) + a4 * a4)
+                     // 2 % ell == 0)
         assert table[a] == expect, a
 
 
@@ -133,17 +135,18 @@ def _random_point(rng):
 
 
 def _residue_table_a4_loop(c0, c1, ell):
-    """Oracle: the table by one pass over the ell^4 grid per a4 mod ell."""
+    """Oracle: the mask table by one pass over the ell^4 grid per a4 mod
+    ell, which sets bit a4 where both forms vanish."""
     a = [np.arange(ell).reshape([-1 if k == i else 1 for k in range(4)])
          for i in range(4)]
-    table = np.zeros((ell,) * 4, dtype=bool)
+    table = np.zeros((ell,) * 4, dtype=np.uint16)
     for a4 in range(ell):
         hit = True
         for cs in (c0, c1):
             value = sum(c * a[i] * a[j] for (i, j), c in cs.items() if j < 4)
             value = value + sum(cs[i, 4] * a[i] for i in range(4)) * a4
             hit = hit & ((value + cs[4, 4] * a4 * a4) % ell == 0)
-        table |= hit
+        table |= hit.astype(np.uint16) << a4
     return table
 
 
@@ -175,7 +178,7 @@ def _table_cases():
 @pytest.mark.parametrize("c0, c1, ell", _table_cases())
 def test_residue_table_against_a4_loop(c0, c1, ell):
     table = _residue_table(c0, c1, ell)
-    assert table.shape == (ell,) * 4 and table.dtype == bool
+    assert table.shape == (ell,) * 4 and table.dtype == np.uint16
     assert np.array_equal(table, _residue_table_a4_loop(c0, c1, ell))
 
 
@@ -236,18 +239,21 @@ def test_brute_force_points_pass_every_table():
         assert points
         for p in points:
             for ell, table in tables.items():
-                assert table[tuple(x % ell for x in p.coords[:4])], (p, ell)
+                mask = table[tuple(x % ell for x in p.coords[:4])]
+                assert mask >> p.coords[4] % ell & 1, (p, ell)
         for table in tables.values():
-            assert table[0, 0, 0, 0]
+            assert table[0, 0, 0, 0] & 1
 
 
 @pytest.mark.parametrize("H", range(1, 10))
-def test_packed_rows_against_brute_force(H):
-    """The sieve's bit rows hold 2H + 1 cells, padded to whole bytes: H from
+def test_packed_rows_against_brute_force(H, monkeypatch):
+    """The sieve's bit rows hold 2H + 1 cells, padded to whole words: H from
     1 to 9 gives every odd width mod 8.  The planted points sit at the end
     of the x2 and x3 rows, next to the padding, or at the end of the x3
     row of the triple (0, 0, 0); the pairs with no x4^2 term also hold
-    (0 : 0 : 0 : 0 : 1)."""
+    (0 : 0 : 0 : 0 : 1).  The search runs with the default CHUNK (one
+    chunk for these H), then with chunks of two x0 values and blocks of
+    2 * (2H + 1) cells, and with one x0, triple and tuple per pass."""
     rng = random.Random(H)
     r = lambda: rng.randint(-H, H)
     kind = H % 3
@@ -264,4 +270,53 @@ def test_packed_rows_against_brute_force(H):
     assert ProjPoint(point) in set(fast.points)
     if kind == 2:
         assert ProjPoint((0, 0, 0, 0, 1)) in set(fast.points)
+    expect = brute_force_search(v, H).points
+    assert fast.points == expect
+    for chunk in (2 * (2 * H + 1) ** 2, 1):
+        monkeypatch.setattr(pointsearch, "CHUNK", chunk)
+        chunked = search(v, H)
+        assert chunked.points == expect, chunk
+        assert chunked.sieve == fast.sieve, chunk
+
+
+def _chunk_cases():
+    """(H, c0, c1, planted point) with the case name as id."""
+    cases = []
+    for H in (5, 6):
+        # with two x0 values per chunk, x0 = H shares a full last chunk
+        # (H = 5) or is alone in it (H = 6); x4 = +H or -H are the ends of
+        # the x4 sieve
+        rng = random.Random(100 + H)
+        point = (H, 1, rng.randint(-H, H), rng.randint(-H, H),
+                 H if H % 2 else -H)
+        cases.append(pytest.param(
+            H, _through(_random_coeffs(rng, 4), point),
+            _through(_random_coeffs(rng, 4), point), point,
+            id=f"x0-is-H-{H}"))
+    # Q0 = x0*x1 and Q1 = x0*x2 modulo every sieve prime: every tuple with
+    # x0 = 0, or with x1 = x2 = 0, passes the sieve, so the x4 sieve gets
+    # many full blocks, and the point sits in a block other than the first
+    rng = random.Random(77)
+    m = 3 * 5 * 7 * 11 * 13
+    point = (0, 1, 2, -3, 1)
+    c0, c1 = (
+        {k: c * m + (k == corner) for k, c in
+         _through(_random_coeffs(rng, 4), point).items()}
+        for corner in ((0, 1), (0, 2)))
+    cases.append(pytest.param(3, c0, c1, point, id="full-blocks"))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", ["pairs", "single"])
+@pytest.mark.parametrize("H, c0, c1, point", _chunk_cases())
+def test_chunk_edges_against_brute_force(H, c0, c1, point, chunk,
+                                         monkeypatch):
+    """Chunks of two x0 values with blocks of 2 * (2H + 1) cells, or one
+    x0, triple and tuple per pass."""
+    v = _dp4(c0, c1)
+    width = 2 * H + 1
+    monkeypatch.setattr(pointsearch, "CHUNK",
+                        2 * width ** 2 if chunk == "pairs" else 1)
+    fast = search(v, H)
+    assert ProjPoint(point) in set(fast.points)
     assert fast.points == brute_force_search(v, H).points

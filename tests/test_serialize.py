@@ -85,6 +85,23 @@ def test_search_result_roundtrip(paper_dp4):
     assert emit_search_result(back)["points"] == data["points"]
 
 
+def test_search_result_sieve_counts_roundtrip(paper_dp4):
+    res = search(paper_dp4, 8)
+    data = emit_search_result(res)
+    assert set(data["sieve"]) == {"triples", "tuples", "candidates"}
+    assert data["sieve"] == res.sieve
+    assert emit_search_result(parse_search_result(data)) == data
+    # a document without the key (as written before the counts) still
+    # parses, and emits without it
+    del data["sieve"]
+    back = parse_search_result(data)
+    assert back.sieve is None and emit_search_result(back) == data
+    for bad in ([1, 2, 3], {"triples": 1, "tuples": 2},
+                {"triples": 1, "tuples": 2, "candidates": 1.5}):
+        with pytest.raises(SchemaError):
+            parse_search_result(dict(data, sieve=bad))
+
+
 def test_unknown_fields_rejected():
     with pytest.raises(SchemaError):
         parse_quadric({"schema": "quadric@1", "n": 5,
