@@ -13,14 +13,15 @@ discriminant-adjusted radicand class from the descent report, written as
 a polynomial in m = -b/a like the factors; its total sign is +1 at every
 good prime, matching the even-sign group that acts on the lines.
 
-Point counts and singular points share one kernel: on each affine chart
-of P^(n-1)(F_p) the residue coefficient maps of the forms are evaluated
-over the open int64 grid of the free coordinates by Horner in the last
-coordinate (one broadcast multiply-add per degree, reduced mod p), and a
-point is counted when every map vanishes there.  The line census
-evaluates pointwise, monomial by monomial, at u, v and u +- v, which do
-not form a product grid; it tests each line at four of its points, so it
-needs odd p.  An odd prime is good when it does not divide the report's
+Point counts, singular points and the line census share one zero
+table: on each affine chart of P^(n-1)(F_p) the residue coefficient maps
+of the forms are evaluated over the open int64 grid of the free
+coordinates by Horner in the last coordinate (one broadcast multiply-add
+per degree, reduced mod p), and the table marks each point where every
+map vanishes.  The counts sum the table.  The line census looks each
+line up at four of its points, u, v, u + v and v - u, whose table
+indices are sums over one open grid per pivot pair; four points need odd
+p.  An odd prime is good when it does not divide the report's
 bad_prime_product.
 """
 
@@ -123,22 +124,6 @@ def reduce_dp4_mod_p(V, p: int):
     return c0, c1
 
 
-def _eval_mod_p(coeffs: dict, x, p: int):
-    """Values mod p of the residue map {exponent: c} at the int64
-    coordinate arrays x (broadcast together, entries in (-p, 2p)).  Every
-    product is reduced mod p and the sum of the reduced terms once, so
-    p < 2 * 10^9 keeps int64 exact."""
-    acc = 0
-    for e, c in coeffs.items():
-        term = c
-        for xi, k in zip(x, e):
-            for _ in range(k):
-                term = term * xi
-                term %= p
-        acc = acc + term
-    return acc % p
-
-
 def _charts(n: int, p: int):
     """The charts of P^(n-1)(F_p): for each lead index, zeros before it,
     1 at it and every residue after it.  Yields (lead, free), where free
@@ -146,17 +131,6 @@ def _charts(n: int, p: int):
     each varying along its own axis."""
     for lead in range(n - 1, -1, -1):
         yield lead, np.ix_(*[np.arange(p, dtype=np.int64)] * (n - 1 - lead))
-
-
-def _chart_points(n: int, p: int):
-    """The charts of _charts as (lead, coordinates), every coordinate
-    flattened to one int64 array over the points of the chart."""
-    for lead, free in _charts(n, p):
-        size = p ** len(free)
-        yield lead, ([np.zeros(size, dtype=np.int64)] * lead
-                     + [np.ones(size, dtype=np.int64)]
-                     + [np.broadcast_to(y, (p,) * len(free)).reshape(size)
-                        for y in free])
 
 
 def _horner_mod_p(coeffs: dict, y, p: int):
@@ -183,9 +157,12 @@ def _horner_mod_p(coeffs: dict, y, p: int):
     return acc
 
 
-def _count_zeros(forms, n: int, p: int) -> int:
-    """#points of P^(n-1)(F_p) where every residue map in forms vanishes."""
-    count = 0
+def _zero_table(forms, n: int, p: int):
+    """Boolean over every point of P^(n-1)(F_p), in _charts order and
+    row-major within each chart: True where every residue map in forms
+    vanishes.  The chart of lead k starts at (p^(n-1-k) - 1)/(p - 1), and
+    its point with free coordinates x_m (m > k) sits x_m p^(n-1-m) after."""
+    table = []
     for lead, free in _charts(n, p):
         zero = np.ones((p,) * len(free), dtype=bool)
         for f in forms:
@@ -194,8 +171,13 @@ def _count_zeros(forms, n: int, p: int) -> int:
             on_chart = {e[lead + 1:]: c for e, c in f.items()
                         if not any(e[:lead])}
             zero &= _horner_mod_p(on_chart, free, p) == 0
-        count += int(np.count_nonzero(zero))
-    return count
+        table.append(zero.ravel())
+    return np.concatenate(table)
+
+
+def _count_zeros(forms, n: int, p: int) -> int:
+    """#points of P^(n-1)(F_p) where every residue map in forms vanishes."""
+    return int(np.count_nonzero(_zero_table(forms, n, p)))
 
 
 def _check_p3_budget(p: int, budget: int) -> None:
@@ -232,28 +214,39 @@ def census_lines(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:
     Scans all (p^2+1)(p^2+p+1) lines of P^3(F_p) in reduced echelon form:
     u from the chart with lead j, v (zero at j) from a chart of lead
     i < j.  The line lies on S exactly when S vanishes at u, v, u + v and
-    u - v, four distinct points of the line when p is odd, since a nonzero
-    binary cubic has at most 3 roots in P^1.
+    v - u, four distinct points of the line when p is odd, since a nonzero
+    binary cubic has at most 3 roots in P^1.  Each point is read from the
+    zero table of S at its index; the points of one pivot pair range over
+    an open grid of the free coordinates of u and of v.
     """
     n_lines = (p * p + 1) * (p * p + p + 1)
     if n_lines * 30 > budget:
         raise BudgetExceededError(f"line census at p={p} exceeds budget")
     if p == 2:
         raise BadPrimeError("the line census needs odd characteristic")
-    coeffs = reduce_cubic_mod_p(F, p)
+    on = _zero_table([reduce_cubic_mod_p(F, p)], 4, p)
+
+    def index(x, lead):
+        # x has zeros before lead and 1 at it
+        return (p ** (3 - lead) - 1) // (p - 1) + sum(
+            x[m] % p * p ** (3 - m) for m in range(lead + 1, 4))
+
     count = 0
-    for j, u in _chart_points(4, p):
-        u = [a[:, None] for a in u]
-        u_on = _eval_mod_p(coeffs, u, p) == 0
-        for i, w in _chart_points(3, p):
-            if i >= j:
-                continue
-            v = [b[None, :] for b in w[:j]] + [0] + [b[None, :] for b in w[j:]]
-            on = u_on & (_eval_mod_p(coeffs, v, p) == 0)
-            for point in ([a + b for a, b in zip(u, v)],
-                          [a - b for a, b in zip(u, v)]):
-                on &= _eval_mod_p(coeffs, point, p) == 0
-            count += int(np.count_nonzero(on))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            u, v = [0] * 4, [0] * 4
+            u[j] = v[i] = 1
+            # one open grid axis per free coordinate of u, then of v
+            free = ([(u, m) for m in range(j + 1, 4)]
+                    + [(v, m) for m in range(i + 1, 4) if m != j])
+            axes = np.ix_(*[np.arange(p, dtype=np.int64)] * len(free))
+            for (x, m), a in zip(free, axes):
+                x[m] = a
+            # u + v and v - u have 1 at i, like v
+            on_line = (on[index(u, j)] & on[index(v, i)]
+                       & on[index([a + b for a, b in zip(u, v)], i)]
+                       & on[index([b - a for a, b in zip(u, v)], i)])
+            count += int(np.count_nonzero(on_line))
     return count
 
 

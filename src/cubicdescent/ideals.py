@@ -14,10 +14,12 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .errors import PreconditionError, ZeroPolynomialError
 from .forms import CubicForm4, monomials_deg3
 from .intfactor import primitive_part
-from .linalg import Matrix, rank, rank_mod_p
+from .linalg import Matrix, column_ranks_mod_p, rank
 
 #: the prime of the modular rank in smooth_cubic
 MACAULAY_PRIME = 2_147_483_647
@@ -310,8 +312,12 @@ def smooth_cubic(S) -> bool:
             for e, c in d.items():
                 row[_QUINTIC_COLUMN[tuple(a + b for a, b in zip(e, m))]] = int(c)
             rows.append(row)
-    return (rank_mod_p(rows, MACAULAY_PRIME) == len(_QUINTIC_COLUMN)
-            or rank(Matrix.from_rows(rows)) == len(_QUINTIC_COLUMN))
+    # reduced in Python integers: a coefficient may exceed int64
+    residues = np.array([[[x % MACAULAY_PRIME for x in row] for row in rows]],
+                        dtype=np.int64)
+    full = len(_QUINTIC_COLUMN)
+    return (bool(column_ranks_mod_p(residues, [MACAULAY_PRIME])[0, -1] == full)
+            or rank(Matrix.from_rows(rows)) == full)
 
 
 def smooth_dp4(V) -> bool:

@@ -1,6 +1,7 @@
-"""Exact dense linear algebra over the rationals, and ranks of integer
-matrices mod primes (numpy, on residues below p < 2^31, a batch of
-matrices with one prime each in one elimination).
+"""Exact dense linear algebra over the rationals, and the ranks mod
+primes of every leading column block of a batch of residue matrices, one
+prime p < 2^31 each, in one numpy elimination (column_ranks_mod_p; one
+matrix is a batch of one).
 
 Matrices are immutable with Fraction entries.  Elimination runs
 fraction-free (Bareiss) on integer-rescaled rows, so intermediate values
@@ -214,35 +215,6 @@ def det(m: Matrix) -> Fraction:
 def rank(m: Matrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
     return _int_rank(_integer_rows(m)[0])
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p (p prime, p < 2^31) of an integer matrix given as a
-    list of rows, by Gaussian elimination on an int64 array of residues:
-    every product of two residues is below 2^62.  Larger p raise
-    ValueError.  One matrix at a time, with row swaps and a shrinking
-    block, it takes fewer array passes than column_ranks_mod_p would on
-    the 80 x 56 Macaulay matrix of ideals.smooth_cubic."""
-    if p >= 1 << 31:
-        raise ValueError(f"rank_mod_p needs p < 2^31, got {p}")
-    if not rows:
-        return 0
-    m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    r = 0
-    for c in range(m.shape[1]):
-        live = np.flatnonzero(m[r:, c])
-        if not live.size:
-            continue
-        i = r + live[0]
-        piv = m[i, c:] * pow(int(m[i, c]), -1, p) % p
-        m[i] = m[r]
-        rest = m[r + 1:, c:]
-        rest -= np.outer(rest[:, 0], piv) % p
-        rest %= p
-        r += 1
-        if r == m.shape[0]:
-            break
-    return r
 
 
 def column_ranks_mod_p(mats, moduli):

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cubicdescent
 from cubicdescent import errors as E
 from cubicdescent.cli import EXIT_CODES, exit_code_for, run_pipeline
 from cubicdescent.errors import CubicDescentError
@@ -34,8 +36,14 @@ def _split_config():
 
 
 def _run(args, stdin=None):
+    # the child imports the package this process imported, also when it
+    # was found through pytest's pythonpath setting rather than PYTHONPATH
+    src = os.path.dirname(os.path.dirname(cubicdescent.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "cubicdescent.cli", *args],
-                          input=stdin, capture_output=True, text=True)
+                          input=stdin, capture_output=True, text=True, env=env)
 
 
 def test_exit_code_table_total():

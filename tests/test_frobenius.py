@@ -166,6 +166,34 @@ def test_blowup_count_relation(paper_strategy, paper_cubic, paper_dp4):
         assert ns == nv + q
 
 
+def test_euler_cubic_census_and_counts_match_frobenius(paper_strategy):
+    """The default descent's own cubic surface: its pair blown up at
+    Euler's point, the coordinates of 1/p'(r) (Tr(r^k / p'(r)) = 0 for
+    k < 4 puts it on both forms), then reduced.  At every sampled prime
+    up to the largest the census budget admits, the census counts the
+    lines the sampled class fixes and the point count is the Lefschetz
+    count of its Picard trace."""
+    from cubicdescent.forms import ProjPoint
+    from cubicdescent.geometry import dp4_to_cubic, greedy_reduce
+    from cubicdescent.intfactor import primitive_part
+    from cubicdescent.lines27 import act_on_27
+
+    V, rep = paper_strategy
+    r = V.provenance.algebra.r
+    point = ProjPoint(primitive_part(r.different().inverse().coords())[1])
+    assert V.evaluate(point.coords) == (0, 0)
+    assert point.height() > 10 ** 10
+    S = greedy_reduce(dp4_to_cubic(V, point))
+    sr = sample_frobenius(rep)
+    checked = [(q, cls) for q, cls in zip(sr.primes, sr.classes) if q <= 41]
+    assert [q for q, _ in checked] == [7, 11, 13, 17, 19, 29, 31, 37, 41]
+    for q, cls in checked:
+        image = act_on_27(cls.representative())
+        fixed = sum(k == i for k, i in enumerate(image))
+        assert census_lines(S.F, q) == fixed
+        assert lefschetz_check(S.F, q, cls)
+
+
 def test_sampling_generic_quintic_order_384():
     """A quintic outside the benchmark's list: the backtracking in
     minimal_cover_subgroup grows its subgroups by cosets to one of order

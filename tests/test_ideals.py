@@ -189,6 +189,14 @@ def test_smooth_cubic_exact_rank_fallback(monkeypatch, fermat):
     assert calls == []
 
 
+def test_smooth_cubic_reduces_large_coefficients_before_numpy():
+    # 3 * (2^64 + 1) in the partials exceeds int64: the Macaulay rows are
+    # reduced mod MACAULAY_PRIME in Python integers first
+    F = CubicForm4({(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1,
+                    (0, 0, 0, 3): 2 ** 64 + 1})
+    assert smooth_cubic(F) is True
+
+
 def test_smooth_cubic_makes_no_buchberger_call(monkeypatch, paper_cubic):
     calls = []
 

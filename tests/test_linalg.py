@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubicdescent.errors import NonSquareMatrixError, SingularMatrixError
-from cubicdescent.linalg import (Matrix, charpoly, det, inverse, nullspace,
-                                 rank, rank_mod_p, solve_linear)
+from cubicdescent.linalg import (Matrix, charpoly, column_ranks_mod_p, det,
+                                 inverse, nullspace, rank, solve_linear)
 from cubicdescent.unipoly import UniPoly
 
 from conftest import PAPER_Q0_COEFFS
@@ -120,13 +121,20 @@ def test_nullspace_and_inverse():
     assert a @ inverse(a) == Matrix.identity(2)
 
 
+def _rank_mod_p(rows, p):
+    """The rank over F_p of integer rows: column_ranks_mod_p on a batch
+    of one, reduced mod p in Python integers first."""
+    residues = np.array([[[x % p for x in row] for row in rows]],
+                        dtype=np.int64)
+    return int(column_ranks_mod_p(residues, [p])[0, -1])
+
+
 def test_rank_mod_p_examples():
-    assert rank_mod_p([], 7) == 0
-    assert rank_mod_p([[0, 0], [0, 0]], 7) == 0
-    assert rank_mod_p([[1, 2], [2, 4]], 7) == 1
-    assert rank_mod_p([[1, 0], [0, 5]], 5) == 1
-    assert rank_mod_p([[1, 0], [0, 5]], 7) == 2
-    assert rank_mod_p([[0, 3, 1], [0, 6, 2], [4, 0, -1]], 11) == 2
+    assert _rank_mod_p([[0, 0], [0, 0]], 7) == 0
+    assert _rank_mod_p([[1, 2], [2, 4]], 7) == 1
+    assert _rank_mod_p([[1, 0], [0, 5]], 5) == 1
+    assert _rank_mod_p([[1, 0], [0, 5]], 7) == 2
+    assert _rank_mod_p([[0, 3, 1], [0, 6, 2], [4, 0, -1]], 11) == 2
 
 
 def test_rank_mod_p_matches_exact_rank():
@@ -144,7 +152,7 @@ def test_rank_mod_p_matches_exact_rank():
             b = [[rng.randint(0, 1) for _ in range(m)] for _ in range(k)]
             rows = [[sum(x * y for x, y in zip(r, col)) for col in zip(*b)]
                     for r in a]
-        assert rank_mod_p(rows, 2_147_483_647) == rank(Matrix.from_rows(rows))
+        assert _rank_mod_p(rows, 2_147_483_647) == rank(Matrix.from_rows(rows))
 
 
 def test_rank_mod_p_int64_boundary():
@@ -154,7 +162,7 @@ def test_rank_mod_p_int64_boundary():
 
     p = MACAULAY_PRIME
     assert (p - 1) ** 2 < 2 ** 62 and p < 2 ** 31
-    assert rank_mod_p([[p - 1] * 56] * 80, p) == 1
+    assert _rank_mod_p([[p - 1] * 56] * 80, p) == 1
     rng = random.Random(2)
     for trial in range(20):
         n, m = rng.randint(1, 6), rng.randint(1, 8)
@@ -162,9 +170,9 @@ def test_rank_mod_p_int64_boundary():
         # -1 and p - 1 are the same residue; the exact rank of the sign
         # matrix is the rank mod p, since its minors are below 6! < p
         rows = [[p - 1 if s < 0 else 1 for s in r] for r in signs]
-        assert rank_mod_p(rows, p) == rank(Matrix.from_rows(signs))
+        assert _rank_mod_p(rows, p) == rank(Matrix.from_rows(signs))
     with pytest.raises(ValueError):
-        rank_mod_p([[1]], 2 ** 31 + 11)
+        _rank_mod_p([[1]], 2 ** 31 + 11)
 
 
 def test_inverse_matches_column_solves():
