@@ -19,7 +19,7 @@ from .etale import EtaleAlgebra
 from .frobenius import sample_frobenius
 from .geometry import (CubicSurface, cubic_to_dp4, dp4_to_cubic, greedy_reduce,
                        tritangent_analysis, tritangent_square_product)
-from .ideals import smooth_cubic, smooth_dp4
+from .ideals import smooth_cubic_certificate, smooth_dp4
 from .pointsearch import search
 from .serialize import (emit_cubic, emit_dp4, emit_frobenius_report,
                         emit_point, emit_radicand_report,
@@ -160,15 +160,14 @@ def cmd_verify(args) -> int:
     data = _read_json(args.input)
     art = parse_artifact(data)
     if isinstance(art, CubicSurface):
-        verdict = smooth_cubic(art)
-        kind = "cubic"
+        verdict, path = smooth_cubic_certificate(art)
+        out = {"surface": "cubic", "smooth": verdict, "smooth_path": path}
     elif isinstance(art, DP4Surface):
-        verdict = smooth_dp4(art)
-        kind = "dp4"
+        out = {"surface": "dp4", "smooth": smooth_dp4(art)}
     else:
         raise E.SchemaError(f"verify takes cubic@1 or dp4@1, got "
                             f"{data['schema']!r}")
-    _write_json({"surface": kind, "smooth": verdict}, args.output)
+    _write_json(out, args.output)
     return 0
 
 
@@ -258,7 +257,8 @@ def run_pipeline(config: dict, report: dict | None = None) -> dict:
     report["cubic"] = emit_cubic(reduced)
 
     t0 = time.monotonic()
-    report["smooth_cubic"] = smooth_cubic(reduced)
+    report["smooth_cubic"], report["smooth_cubic_path"] = \
+        smooth_cubic_certificate(reduced)
     report["smooth_dp4"] = smooth_dp4(surface)
     timings["smoothness_ms"] = round((time.monotonic() - t0) * 1000, 3)
 

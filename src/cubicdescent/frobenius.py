@@ -13,15 +13,18 @@ discriminant-adjusted radicand class from the descent report, written as
 a polynomial in m = -b/a like the factors; its total sign is +1 at every
 good prime, matching the even-sign group that acts on the lines.
 
-Point counts, singular points and the line census share one zero
-table: on each affine chart of P^(n-1)(F_p) the residue coefficient maps
-of the forms are evaluated over the open int64 grid of the free
-coordinates by Horner in the last coordinate (one broadcast multiply-add
-per degree, reduced mod p), and the table marks each point where every
-map vanishes.  The counts sum the table.  The line census looks each
-line up at four of its points, u, v, u + v and v - u, whose table
-indices are sums over one open grid per pivot pair; four points need odd
-p.  An odd prime is good when it does not divide the report's
+The point count of a quadric pair in P^4 comes from its pencil: by
+Weil's Gauss sums, only the rank and the discriminant of each of the
+p + 1 members, read off one symmetric elimination mod p, enter it.
+The point counts of a cubic, its singular points and the line census
+share one zero table: on each affine chart of P^(n-1)(F_p) the residue
+coefficient maps of the forms are evaluated over the open int64 grid of
+the free coordinates by Horner in the last coordinate (one broadcast
+multiply-add per degree, reduced mod p), and the table marks each point
+where every map vanishes.  The counts sum the table.  The line census
+looks each line up at four of its points, u, v, u + v and v - u, whose
+table indices are sums over one open grid per pivot pair; four points
+need odd p.  An odd prime is good when it does not divide the report's
 bad_prime_product.
 """
 
@@ -191,12 +194,75 @@ def count_points_cubic(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> i
     return _count_zeros([reduce_cubic_mod_p(F, p)], 4, p)
 
 
+def _rank_and_discriminant(g, q: int) -> tuple:
+    """(r, D) for the symmetric matrix g mod odd q (rows of residues,
+    changed in place): its rank r and the product D of the pivots of a
+    congruence diagonalisation, the determinant of the nondegenerate part
+    up to squares.  A pivot is a nonzero diagonal entry; when every live
+    diagonal entry is zero but g_ij is not, x_i <- x_i + x_j puts 2 g_ij
+    on the diagonal."""
+    live = list(range(len(g)))
+    disc = 1
+    while live:
+        k = next((i for i in live if g[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live
+                         if i < j and g[i][j]), None)
+            if pair is None:
+                break
+            k, j = pair
+            for m in live:
+                g[k][m] = (g[k][m] + g[j][m]) % q
+            for m in live:
+                g[m][k] = (g[m][k] + g[m][j]) % q
+        live.remove(k)
+        pivot = g[k][k]
+        disc = disc * pivot % q
+        inv = pow(pivot, -1, q)
+        for i in live:
+            f = g[i][k] * inv % q
+            if f:
+                row, top = g[i], g[k]
+                for m in live:
+                    row[m] = (row[m] - f * top[m]) % q
+    return len(g) - len(live), disc
+
+
 def count_points_dp4(V, p: int, budget: int = DEFAULT_BUDGET) -> int:
-    """#V(F_p) for the quadric intersection, over P^4(F_p)."""
+    """#V(F_p) for the quadric intersection, from its pencil (odd p).
+
+    With G0, G1 the Gram matrices of the reduced pair (reduce_dp4_mod_p,
+    so a bad prime raises as there), Weil's Gauss sums count the affine
+    zeros as N = p^3 + (p - 1)/p^2 * T, where T sums, over the p + 1
+    members a*G0 + b*G1 of even rank r, eta((-1)^(r/2) D) p^(5 - r/2),
+    with D the discriminant of the member's nondegenerate part and eta
+    the quadratic character; members of odd rank cancel.  The count is
+    (N - 1)/(p - 1), from p + 1 symmetric eliminations of 5 x 5 matrices.
+    The budget still admits p exactly when 30 units per point of
+    P^4(F_p) fit in it, the rule of the enumeration this count replaced,
+    so the default budget admits p <= 41."""
     total_pts = p ** 4 + p ** 3 + p ** 2 + p + 1
     if total_pts * 30 > budget:
         raise BudgetExceededError(f"P^4(F_{p}) enumeration exceeds budget")
-    return _count_zeros(reduce_dp4_mod_p(V, p), 5, p)
+    half = (p + 1) // 2
+    grams = []
+    for coeffs in reduce_dp4_mod_p(V, p):
+        g = [[0] * 5 for _ in range(5)]
+        for e, c in coeffs.items():
+            i, j = (k for k in range(5) for _ in range(e[k]))
+            g[i][j] = g[j][i] = c if i == j else c * half % p
+        grams.append(g)
+    g0, g1 = grams
+    # (1 : 0), then (t : 1) for every t
+    members = [g0] + [[[(t * a + b) % p for a, b in zip(r0, r1)]
+                       for r0, r1 in zip(g0, g1)] for t in range(p)]
+    total = 0
+    for g in members:
+        r, disc = _rank_and_discriminant(g, p)
+        if r % 2 == 0:
+            eta = 1 if pow((-1) ** (r // 2) * disc, half - 1, p) == 1 else -1
+            total += eta * p ** (5 - r // 2)
+    return (p ** 3 - 1 + (p - 1) * total // p ** 2) // (p - 1)
 
 
 def singular_points_mod_p(F: CubicForm4, p: int) -> int:

@@ -1,11 +1,15 @@
-"""Exact smoothness: the Macaulay-matrix rank of the partials for cubic
-surfaces and the pencil-determinant criterion for quadric pairs in P^4;
-neither needs a Groebner basis.  The small Buchberger engine over Q
-(`buchberger`, `is_unit_ideal`) serves as a test oracle: sparse
-polynomials in up to 5 variables, grevlex order with x0 < x1 < ...,
-content stripped to primitive integer form after every reduction, pairs
-selected by (lcm degree, lcm, indices) with the coprime-leading-term and
-chain criteria.
+"""Exact smoothness, with no Groebner basis.  A cubic surface with a known
+line is smooth iff the conic bundle of the planes through the line has a
+discriminant with five distinct roots and the partials share no root on
+the line; a bare cubic form is smooth iff the Macaulay matrix of its
+partials has full rank; smooth_cubic_certificate names the path taken.
+A quadric pair in P^4 is smooth iff its pencil determinant has five
+distinct roots, the same test on a binary quintic as the conic bundle's.
+The small Buchberger engine over Q (`buchberger`, `is_unit_ideal`)
+serves as a test oracle: sparse polynomials in up to 5 variables,
+grevlex order with x0 < x1 < ..., content stripped to primitive integer
+form after every reduction, pairs selected by (lcm degree, lcm, indices)
+with the coprime-leading-term and chain criteria.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .forms import CubicForm4, monomials_deg3
+from .forms import BinaryQuintic, CubicForm4, monomials_deg3
 from .intfactor import primitive_part
 from .linalg import Matrix, column_ranks_mod_p, rank
 
@@ -291,22 +295,43 @@ def is_unit_ideal(gens: list) -> bool:
     return buchberger(gens).is_unit()
 
 
-def smooth_cubic(S) -> bool:
-    """Exact smoothness of a cubic surface F = 0 in P^3 over Q.
+#: the paths of smooth_cubic_certificate
+CONIC_BUNDLE = "conic-bundle"
+MACAULAY_MOD_P = "macaulay-mod-p"
+MACAULAY_EXACT = "macaulay-exact"
 
-    By Euler's formula Sing(S) is the common zero set of the four partials
-    of F.  Four quadrics in four variables have no common zero exactly when
-    they form a regular sequence; the quotient then has Hilbert series
-    (1 + t)^4, so their multiples by the 20 cubic monomials span all 56
-    quintic monomials.  S is smooth iff that 80 x 56 Macaulay matrix of
-    the primitive integer form has rank 56.  Full rank mod MACAULAY_PRIME
-    proves it over Q; only a deficient rank mod p falls through to the
-    exact rank."""
+
+def smooth_cubic(S) -> bool:
+    """Exact smoothness of a cubic surface F = 0 in P^3 over Q: the
+    verdict of smooth_cubic_certificate."""
+    return smooth_cubic_certificate(S)[0]
+
+
+def smooth_cubic_certificate(S) -> tuple:
+    """(verdict, path): exact smoothness of a cubic surface F = 0 in P^3
+    over Q, and the path that decided it.
+
+    A CubicSurface with a known_line goes through the conic bundle of the
+    planes through the line (CONIC_BUNDLE, _conic_bundle).  A bare
+    CubicForm4, or a surface without a line, goes through the Macaulay
+    matrix: by Euler's formula Sing(S) is the common zero set of the four
+    partials of F.  Four quadrics in four variables have no common zero
+    exactly when they form a regular sequence; the quotient then has
+    Hilbert series (1 + t)^4, so their multiples by the 20 cubic monomials
+    span all 56 quintic monomials.  S is smooth iff that 80 x 56 Macaulay
+    matrix of the primitive integer form has rank 56.  Full rank mod
+    MACAULAY_PRIME proves it over Q (MACAULAY_MOD_P); only a deficient
+    rank mod p falls through to the exact rank (MACAULAY_EXACT)."""
     F = S.F if hasattr(S, "F") else S
     if not isinstance(F, CubicForm4) or F.is_zero():
         raise ZeroPolynomialError("smoothness of a zero form")
+    ints = F.primitive_coeffs()[1]
+    line = getattr(S, "known_line", None)
+    if line is not None:
+        disc, resultant = _conic_bundle(ints, line)
+        return resultant != 0 and _five_distinct_roots(disc), CONIC_BUNDLE
     rows = []
-    for d in CubicForm4(F.primitive_coeffs()[1]).partials():
+    for d in CubicForm4(ints).partials():
         for m in monomials_deg3():
             row = [0] * len(_QUINTIC_COLUMN)
             for e, c in d.items():
@@ -316,16 +341,88 @@ def smooth_cubic(S) -> bool:
     residues = np.array([[[x % MACAULAY_PRIME for x in row] for row in rows]],
                         dtype=np.int64)
     full = len(_QUINTIC_COLUMN)
-    return (bool(column_ranks_mod_p(residues, [MACAULAY_PRIME])[0, -1] == full)
-            or rank(Matrix.from_rows(rows)) == full)
+    if column_ranks_mod_p(residues, [MACAULAY_PRIME])[0, -1] == full:
+        return True, MACAULAY_MOD_P
+    return rank(Matrix.from_rows(rows)) == full, MACAULAY_EXACT
+
+
+def _bmul(f: list, g: list) -> list:
+    """Product of binary forms given by their coefficient lists, the
+    coefficient of lambda^k at index k."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _conic_bundle(ints: dict, line) -> tuple:
+    """(discriminant, resultant) of the cubic F (integer coefficient map)
+    through the line L on it.  S is smooth iff the planes through L cut
+    the residual conics in a bundle whose discriminant is a binary quintic
+    with five distinct roots, and the four partials of F share no root on
+    L, that is, the resultant is nonzero.
+
+    L's integer points p, q and two unit vectors e_a, e_b form a basis,
+    and F(w0 e_a + w1 e_b + y2 p + y3 q) = w0 A(y) + w1 B(y) + (terms of
+    degree >= 2 in w), since F vanishes on L.  On the plane
+    (w0 : w1) = (lambda : mu) the residual conic in (y2, y3, s) has twice
+    its Gram matrix [[2a, b, d2], [b, 2c, d3], [d2, d3, 2k]]: a, b, c are
+    linear, d2, d3 quadratic and k cubic in (lambda, mu), so its
+    determinant, 8 times the discriminant, is a binary quintic (its half
+    is returned).  Along L the derivatives in the directions p and q
+    vanish, so the four partials share a root on L exactly when
+    A = dF/dx_a and B = dF/dx_b do, that is, when the resultant of the
+    binary quadratics A and B vanishes."""
+    p, q = (pt.coords for pt in line.points)
+    c, d = next((c, d) for c in range(4) for d in range(c + 1, 4)
+                if p[c] * q[d] != p[d] * q[c])
+    a, b = (m for m in range(4) if m not in (c, d))
+    # parts[deg in w][y-monomial index][power of w0]: the coefficient of
+    # w0^i w1^(deg - i) y2^(3 - deg - j) y3^j
+    parts = {deg: [[0] * (deg + 1) for _ in range(4 - deg)]
+             for deg in (1, 2, 3)}
+    for e, coeff in ints.items():
+        factors = [m for m in range(4) for _ in range(e[m])]
+        # each factor x_m = y2 p_m + y3 q_m + [m = a] w0 + [m = b] w1
+        # contributes either its part on L or its w
+        for mask in range(1, 8):
+            w0 = w1 = 0
+            form = [coeff]
+            for bit, m in enumerate(factors):
+                if mask >> bit & 1:
+                    if m == a:
+                        w0 += 1
+                    elif m == b:
+                        w1 += 1
+                    else:
+                        break
+                else:
+                    form = [x * p[m] + y * q[m]
+                            for x, y in zip(form + [0], [0] + form)]
+            else:
+                for j, x in enumerate(form):
+                    parts[w0 + w1][j][w0] += x
+    (y22, y23, y33), (ys2, ys3), (k,) = parts[1], parts[2], parts[3]
+    det = [4 * x - y - z + u - v for x, y, z, u, v in zip(
+        _bmul(_bmul(y22, y33), k), _bmul(y22, _bmul(ys3, ys3)),
+        _bmul(_bmul(y23, y23), k), _bmul(y23, _bmul(ys2, ys3)),
+        _bmul(y33, _bmul(ys2, ys2)))]
+    (f0, g0), (f1, g1), (f2, g2) = parts[1]
+    return BinaryQuintic(det), ((f0 * g2 - f2 * g0) ** 2
+                                - (f0 * g1 - f1 * g0) * (f1 * g2 - f2 * g1))
+
+
+def _five_distinct_roots(quintic: BinaryQuintic) -> bool:
+    """A nonzero binary quintic with five distinct roots in P^1: at most a
+    simple root at infinity and a squarefree dehomogenization."""
+    if quintic.is_zero() or quintic.infinity_multiplicity() > 1:
+        return False
+    return quintic.dehomogenized().is_squarefree()
 
 
 def smooth_dp4(V) -> bool:
     """Exact smoothness of an intersection of two quadrics in P^4: the
     pencil determinant det(lambda*Q0 + mu*Q1) is a nonzero binary quintic
-    with five distinct roots in P^1 (Reid 1972), that is, at most a simple
-    root at infinity and a squarefree dehomogenization."""
-    quintic = V.pencil_quintic()
-    if quintic.is_zero() or quintic.infinity_multiplicity() > 1:
-        return False
-    return quintic.dehomogenized().is_squarefree()
+    with five distinct roots in P^1 (Reid 1972)."""
+    return _five_distinct_roots(V.pencil_quintic())

@@ -9,9 +9,10 @@ entry first passes its values in that order.
 Squarefree parts use trial division up to a configurable bound, then
 Brent-cycle Pollard rho, capped in steps, with Miller-Rabin primality
 testing; a perfect square is split by its integer square root, not by
-rho.  A cofactor that resists factoring is returned flagged, never
-silently treated as prime or squarefree, and squarefree_class raises
-BudgetExceededError on it unless it is a square.
+rho, and a squarefree part leaves that root unfactored unless something
+else resists factoring.  A cofactor that resists factoring is returned
+flagged, never silently treated as prime or squarefree, and
+squarefree_class raises BudgetExceededError on it unless it is a square.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ _MR_BASES = _SMALL_PRIMES
 # steps, so the cap splits off factors of up to about 12 digits and bounds
 # the wait on a cofactor with none that small.
 _RHO_STEPS = 1 << 22
+
+# Pollard rho calls of one factorization.
+_RHO_ROUNDS = 64
 
 
 def as_fraction(x) -> Fraction:
@@ -141,13 +145,25 @@ def _pollard_brent(n: int) -> int:
     return n
 
 
-def factorize(n: int, trial_bound: int = 100000, rho_rounds: int = 64):
+def factorize(n: int, trial_bound: int = 100000,
+              rho_rounds: int = _RHO_ROUNDS):
     """Factor |n| into primes.
 
     Returns (factors, cofactor): factors maps prime -> exponent and
     cofactor is 1 on success, else a composite that resisted factoring
     (factors * cofactor * sign == n).
     """
+    return _factorize(n, trial_bound, rho_rounds, False)
+
+
+def _factorize(n: int, trial_bound: int, rho_rounds: int,
+               odd_only: bool) -> tuple:
+    """factorize; with odd_only, the root r of a square cofactor
+    r**(2e) is set aside instead of factored.  Every prime of r then has
+    an even exponent, so r cannot change the squarefree part: it is
+    factored, as factorize would, only when some other cofactor resists
+    factoring and is not a square, and is left out of factors
+    otherwise."""
     if n == 0:
         raise ValueError("cannot factor 0")
     m = abs(n)
@@ -159,11 +175,14 @@ def factorize(n: int, trial_bound: int = 100000, rho_rounds: int = 64):
             factors[p] = factors.get(p, 0) + 1
             m //= p
     # (m, e): m**e divides what is left; a square m = r**2 goes back as
-    # (r, 2e) without a rho call
+    # (r, 2e) without a rho call, or into roots with odd_only
     stack = [(m, 1)] if m > 1 else []
+    roots = []
     budget = rho_rounds
     cofactor = 1
-    while stack:
+    while stack or (roots and not is_square_int(cofactor)):
+        if not stack:
+            stack, roots, odd_only = roots, [], False
         m, e = stack.pop()
         if m == 1:
             continue
@@ -172,7 +191,7 @@ def factorize(n: int, trial_bound: int = 100000, rho_rounds: int = 64):
             continue
         r = isqrt(m)
         if r * r == m:
-            stack.append((r, 2 * e))
+            (roots if odd_only else stack).append((r, 2 * e))
             continue
         if budget <= 0:
             cofactor *= m ** e
@@ -210,7 +229,7 @@ def squarefree_part(n: int, trial_bound: int = 100000) -> SquarefreeResult:
     if n == 0:
         raise ValueError("squarefree part of 0 is undefined")
     sign = -1 if n < 0 else 1
-    factors, cofactor = factorize(n, trial_bound=trial_bound)
+    factors, cofactor = _factorize(n, trial_bound, _RHO_ROUNDS, True)
     s = sign
     for p, e in factors.items():
         if e % 2:

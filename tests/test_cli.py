@@ -61,6 +61,7 @@ def test_pipeline_split_end_to_end(tmp_path):
     report = run_pipeline(_split_config())
     assert report["search"]["count"] > 0
     assert report["smooth_cubic"] is True
+    assert report["smooth_cubic_path"] == "conic-bundle"
     assert report["smooth_dp4"] is True
     assert report["tritangents"]["square_product_class"] == 1
     assert report["frobenius"]["subgroup_order"] is not None
@@ -279,3 +280,25 @@ def test_cli_pipeline_malformed_config_exit_code(field, tmp_path):
     src = tmp_path / "config.json"
     src.write_text(json.dumps({"p": SPLIT_CONFIG["p"], **field}))
     assert main(["pipeline", "-i", str(src)]) == 2
+
+
+def test_cli_verify_names_the_smoothness_path(paper_cubic, paper_dp4,
+                                              tmp_path):
+    # a cubic with its line goes through the conic bundle, one without it
+    # through the Macaulay rank; a dp4 verdict has one path and no key
+    from cubicdescent.cli import main
+
+    without_line = emit_cubic(paper_cubic.F)
+    outputs = {}
+    for name, doc in (("line", emit_cubic(paper_cubic)),
+                      ("bare", without_line), ("dp4", emit_dp4(paper_dp4))):
+        src, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+        src.write_text(json.dumps(doc))
+        assert main(["verify", "-i", str(src), "-o", str(out)]) == 0
+        outputs[name] = json.loads(out.read_text())
+    assert outputs == {
+        "line": {"surface": "cubic", "smooth": True,
+                 "smooth_path": "conic-bundle"},
+        "bare": {"surface": "cubic", "smooth": True,
+                 "smooth_path": "macaulay-mod-p"},
+        "dp4": {"surface": "dp4", "smooth": True}}

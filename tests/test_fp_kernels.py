@@ -280,3 +280,86 @@ def test_dp4_count_against_per_monomial(k, p):
     V = (PAIRS[:1] + SPARSE_PAIRS)[k]
     assert count_points_dp4(V, p) == _count_zeros_per_monomial(
         reduce_dp4_mod_p(V, p), 5, p)
+
+
+def _square_sum(rng, rank, bound=3):
+    """Coefficients of sum c_k * l_k(x)^2 over rank random linear forms
+    l_k in 5 variables: a quadric of rank at most rank."""
+    coeffs = {(i, j): 0 for i in range(5) for j in range(i, 5)}
+    for _ in range(rank):
+        c = rng.choice((-2, -1, 1, 3))
+        l = [rng.randint(-bound, bound) for _ in range(5)]
+        for i, j in coeffs:
+            coeffs[i, j] += c * l[i] * l[j] * (1 if i == j else 2)
+    return coeffs
+
+
+def _pencil_pairs():
+    """100 seeded pairs: 40 of random coefficients, 50 of two quadrics of
+    ranks 1 to 4, and 10 that are bad at some small prime (a denominator
+    of 5 or 7, a quadric that is 3 or 7 times an integer form, or a Q1
+    that is Q0 plus 5 or 11 times an integer form)."""
+    rng = random.Random(34)
+    pairs = []
+    for _ in range(40):
+        pairs.append((_random_coeffs(rng), _random_coeffs(rng)))
+    for k in range(50):
+        pairs.append((_square_sum(rng, 1 + k % 4),
+                      _square_sum(rng, 1 + k // 4 % 4)))
+    for k in range(10):
+        q0, q1 = _random_coeffs(rng), _random_coeffs(rng)
+        m = (5, 7, 3, 7, 5, 11)[k % 6]
+        if k % 3 == 0:
+            q1 = {e: Fraction(c, m) for e, c in q1.items()}
+        elif k % 3 == 1:
+            q0 = {e: m * c for e, c in q0.items()}
+        else:
+            q1 = {e: c + m * rng.randint(-1, 1) for e, c in q0.items()}
+        pairs.append((q0, q1))
+    return [DP4Surface(QuadForm.from_poly_coeffs(5, q0),
+                       QuadForm.from_poly_coeffs(5, q1)) for q0, q1 in pairs]
+
+
+def _random_coeffs(rng):
+    return {(i, j): rng.randint(-4, 4) for i in range(5) for j in range(i, 5)}
+
+
+PENCIL_PAIRS = _pencil_pairs()
+
+
+def _member_ranks(V, p):
+    """The ranks mod p of the p + 1 members of the reduced pencil, from
+    twice their Gram matrices (the polar forms) by column_ranks_mod_p."""
+    from cubicdescent.linalg import column_ranks_mod_p
+
+    polars = []
+    for coeffs in reduce_dp4_mod_p(V, p):
+        m = np.zeros((5, 5), dtype=np.int64)
+        for e, c in coeffs.items():
+            i, j = (k for k in range(5) for _ in range(e[k]))
+            m[i, j] = m[j, i] = 2 * c % p if i == j else c
+        polars.append(m)
+    members = [polars[0]] + [(t * polars[0] + polars[1]) % p
+                             for t in range(p)]
+    return set(column_ranks_mod_p(np.stack(members), [p] * (p + 1))[:, -1])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_pencil_count_against_enumeration(p):
+    """The count from the pencil equals the P^4 enumeration on every pair,
+    and raises the same BadPrimeError where the reduction does."""
+    ranks, bad = set(), 0
+    for V in PENCIL_PAIRS:
+        try:
+            forms = reduce_dp4_mod_p(V, p)
+        except BadPrimeError as err:
+            bad += 1
+            with pytest.raises(BadPrimeError, match=f"^{err}$"):
+                count_points_dp4(V, p)
+            continue
+        assert count_points_dp4(V, p) == _count_zeros_per_monomial(
+            forms, 5, p)
+        ranks |= _member_ranks(V, p)
+    assert ranks >= {1, 2, 3, 4, 5}
+    # the bad pairs are bad at 3, 5, 7 and 11
+    assert bad or p == 13

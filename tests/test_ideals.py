@@ -5,11 +5,15 @@ import pytest
 
 from cubicdescent import ideals, linalg
 from cubicdescent.errors import PreconditionError, ZeroPolynomialError
-from cubicdescent.forms import CubicForm4, QuadForm, monomials_deg3
+from cubicdescent.forms import (CubicForm4, ProjLine, ProjPoint, QuadForm,
+                                monomials_deg3)
 from cubicdescent.descent import DP4Surface
-from cubicdescent.ideals import (MACAULAY_PRIME, MPoly, buchberger,
+from cubicdescent.geometry import CubicSurface
+from cubicdescent.ideals import (CONIC_BUNDLE, MACAULAY_EXACT, MACAULAY_MOD_P,
+                                 MACAULAY_PRIME, MPoly, buchberger,
                                  is_unit_ideal, reduce_poly, s_polynomial,
-                                 smooth_cubic, smooth_dp4)
+                                 smooth_cubic, smooth_cubic_certificate,
+                                 smooth_dp4)
 from cubicdescent.linalg import Matrix
 
 from conftest import PAPER_CUBIC_COEFFS, random_cubic_with_line
@@ -296,3 +300,68 @@ def test_smooth_dp4_matches_quintic_criterion():
 def test_smooth_dp4_degenerate_pencils(a, b, smooth):
     v = DP4Surface(QuadForm.diagonal(a), QuadForm.diagonal(b))
     assert smooth_dp4(v) == _jacobian_smooth_dp4(v) == smooth
+
+
+def _bundle_cases():
+    """Seeded cubics x0*q0 + x1*q1 through the line L: x0 = x1 = 0, with
+    q0, q1 of coefficients in [-2, 2]: 30 random, 25 forced singular at
+    (0:0:1:0) on L, 25 forced singular at (1:0:0:0) off L.  Each is moved
+    by a seeded unimodular change of coordinates, with its line."""
+    rng = random.Random(20261020)
+    cases = []
+    for kind, count in (("random", 30), ("on", 25), ("off", 25)):
+        while sum(k == kind for k, _ in cases) < count:
+            q0, q1 = ({(i, j): rng.randint(-2, 2)
+                       for i in range(4) for j in range(i, 4)}
+                      for _ in range(2))
+            if kind == "on":
+                # dF/dx0 = q0 and dF/dx1 = q1 vanish at (0:0:1:0)
+                q0[2, 2] = q1[2, 2] = 0
+            elif kind == "off":
+                # F and its gradient vanish at (1:0:0:0)
+                q0[0, 0] = q0[0, 2] = q0[0, 3] = 0
+                q1[0, 0] = -q0[0, 1]
+            F = _form({(l,) + ij: c for l, q in ((0, q0), (1, q1))
+                       for ij, c in q.items()})
+            if F.is_zero():
+                continue
+            change = [[int(i == j) for j in range(4)] for i in range(4)]
+            for _ in range(3):
+                i, j = rng.sample(range(4), 2)
+                s = rng.choice((-1, 1))
+                for row in change:
+                    row[j] += s * row[i]
+            m = Matrix.from_rows(change)
+            back = linalg.inverse(m)
+            line = ProjLine.from_points(ProjPoint(back.mul_vec([0, 0, 1, 0])),
+                                        ProjPoint(back.mul_vec([0, 0, 0, 1])))
+            cases.append((kind, CubicSurface(F.substitute(m),
+                                             known_line=line)))
+    return cases
+
+
+def test_conic_bundle_matches_macaulay():
+    """The conic bundle through the line gives the verdict of the
+    Macaulay matrix on every seeded cubic; some cubics singular on L have
+    a squarefree discriminant, so the test on L is needed."""
+    verdicts, masked = [], 0
+    for kind, S in _bundle_cases():
+        verdict, path = smooth_cubic_certificate(S)
+        assert path == CONIC_BUNDLE
+        bare, bare_path = smooth_cubic_certificate(S.F)
+        assert bare_path in (MACAULAY_MOD_P, MACAULAY_EXACT)
+        assert verdict == bare
+        if kind != "random":
+            assert verdict is False
+        disc, resultant = ideals._conic_bundle(S.F.primitive_coeffs()[1],
+                                               S.known_line)
+        if kind == "on":
+            assert resultant == 0
+            masked += ideals._five_distinct_roots(disc)
+        verdicts.append(verdict)
+    assert masked and True in verdicts and verdicts.count(False) > 50
+
+
+def test_paper_cubic_smooth_through_its_line(paper_cubic):
+    assert smooth_cubic_certificate(paper_cubic) == (True, CONIC_BUNDLE)
+    assert smooth_cubic_certificate(paper_cubic.F) == (True, MACAULAY_MOD_P)

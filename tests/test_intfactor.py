@@ -78,6 +78,34 @@ def test_squares_split_without_rho(monkeypatch):
     assert not any(is_square_int(n) for n in calls)
 
 
+def test_squarefree_part_leaves_the_root_of_a_square(monkeypatch):
+    # every prime of p0 * p1 enters (p0 * p1)^2 * k with an even exponent,
+    # so the squarefree part runs no rho on it; only a cofactor that stays
+    # unfactored and is not a square sends the root back to rho
+    p0, p1 = 10 ** 20 + 39, 10 ** 20 + 129
+    calls = []
+    rho = intfactor._pollard_brent
+    monkeypatch.setattr(intfactor, "_pollard_brent",
+                        lambda n: calls.append(n) or rho(n))
+    k = 2 * 3 ** 3 * 7
+    res = squarefree_part(-(p0 * p1) ** 2 * k)
+    assert (res.value, res.cofactor, res.complete) == (-42, 1, True)
+    assert calls == []
+    assert squarefree_class(Fraction((p0 * p1) ** 2 * k, 5)) == 210
+    assert calls == []
+
+    # a stand-in that splits off n = 1000003 * 1000033 and nothing else:
+    # n stays unfactored, so the root p0 * p1 goes to rho too, and the
+    # candidate value is the one factorize gives
+    n = 1000003 * 1000033
+    monkeypatch.setattr(intfactor, "_pollard_brent", lambda m: calls.append(m)
+                        or (n if m % n == 0 and m != n else m))
+    res = squarefree_part((p0 * p1) ** 2 * n)
+    assert calls == [(p0 * p1) ** 2 * n, n, p0 * p1]
+    assert (res.value, res.complete) == (n * (p0 * p1) ** 2, False)
+    assert factorize((p0 * p1) ** 2 * n) == ({}, res.value)
+
+
 def test_square_of_a_composite_factors_fully(monkeypatch):
     calls = []
     rho = intfactor._pollard_brent
