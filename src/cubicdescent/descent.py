@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import (DegeneratePencilError, DependentFormsError,
                      NonGeneratorError, ZeroDivisorError)
@@ -23,7 +24,7 @@ from .etale import DEGREE, AlgElement, EtaleAlgebra
 from .forms import BinaryQuintic, QuadForm, p1_normalize, pencil_determinant
 from .intfactor import (is_perfect_square, over_common_denominator,
                         squarefree_class)
-from .linalg import Matrix, _int_det, _int_rank, solve_linear
+from .linalg import _bareiss_echelon, _int_det, _int_rank
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
@@ -105,7 +106,8 @@ class RadicandReport:
 
     @cached_property
     def splitting_norm(self) -> Fraction:
-        return self.splitting_element.norm()
+        """N(disc_tritangent * rho) = disc_tritangent^5 * N(rho)."""
+        return self.disc_tritangent ** DEGREE * self.norm_rho
 
     @cached_property
     def bad_prime_product(self) -> int:
@@ -116,10 +118,10 @@ class RadicandReport:
         the discriminant or the norm is."""
         out = 1
         for c in (self.disc_tritangent, self.splitting_norm):
-            c = Fraction(c)
             out *= c.numerator * c.denominator
-        for c in (*self.splitting_psi.coords(), *self.tritangent_poly.coeffs):
-            out *= Fraction(c).denominator
+        for f in (self.splitting_psi, self.tritangent_poly):
+            for v in f.num:
+                out *= f.den // gcd(v, f.den)
         return abs(out)
 
     @cached_property
@@ -132,8 +134,7 @@ class RadicandReport:
     def factor_numerators(self) -> tuple:
         """(numerators, denominator) of each rational factor, in the
         order of rational_factors."""
-        return tuple(over_common_denominator(f.coeffs)
-                     for f, _ in self.rational_factors)
+        return tuple((f.num, f.den) for f, _ in self.rational_factors)
 
 
 def _trace_gram_num(weight: AlgElement, l) -> tuple:
@@ -160,13 +161,6 @@ def _trace_gram_num(weight: AlgElement, l) -> tuple:
             num[j * n + k] = num[k * n + j] = sum(
                 cj[a] * hc[a][k] for a in range(DEGREE))
     return num, weight.den * algebra.power_sum_den * e * e
-
-
-def trace_gram(weight: AlgElement, l) -> Matrix:
-    """Matrix of trace(weight * c_j * c_k), from _trace_gram_num."""
-    num, den = _trace_gram_num(weight, l)
-    n = len(l)
-    return Matrix(n, n, [Fraction(v, den) for v in num])
 
 
 def power_basis_form(algebra: EtaleAlgebra) -> tuple:
@@ -199,32 +193,39 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
 
     Requires a to be a unit and m = -b/a to generate the algebra.
     """
-    a, b = inp.a, inp.b
-    norm_a = a.norm()
+    algebra, a, b = inp.algebra, inp.a, inp.b
+    chi_a = a.charpoly_of()
+    norm_a = -chi_a[0]
     if norm_a == 0:                 # the units are the elements of nonzero norm
         raise ZeroDivisorError("a must be a unit to form -b/a")
-    m = -(b * a.inverse())
+    m = -(b * a.inverse(chi_a))
     chi_m = m.charpoly_of()
-    disc_m = chi_m.discriminant()
+    if chi_m == algebra.p:          # x = r: keep the discriminant of p
+        chi_m = algebra.p
+    disc_m = chi_m.discriminant()   # kept, so EtaleAlgebra(chi_m) reuses it
     if disc_m == 0:                 # chi_m is not squarefree
         raise NonGeneratorError("-b/a does not generate the algebra")
+    psi_algebra = algebra if chi_m is algebra.p else EtaleAlgebra(chi_m)
     # chi_m is squarefree, so chi_m'(m) is the different of m
     rho = a ** 3 * m.evaluate_poly(chi_m.derivative()) * norm_a
     conj_poly = rho.charpoly_of()
 
-    # Express rho as a polynomial psi in m, then evaluate psi at each
-    # rational root t of chi_m: that value is the radicand at (t : 1).
-    powers = [inp.algebra.one()]
+    # rho as a polynomial psi in m, psi(t) the radicand at (t : 1) for each
+    # rational root t of chi_m.  With m^j = M_j / d_j and rho = R / e, one
+    # Bareiss elimination of [M_0 .. M_4 | R] (m generates: diagonal pivots,
+    # the last D = +-det) and back substitution give D * y in integers for
+    # sum_j y_j M_j = R; psi_j = y_j d_j / e.
+    powers = [algebra.one()]
     for _ in range(DEGREE - 1):
         powers.append(powers[-1] * m)
-    cols = [power.coords() for power in powers]
-    mat = Matrix(DEGREE, DEGREE,
-                 [cols[j][i] for i in range(DEGREE) for j in range(DEGREE)])
-    psi_coeffs = solve_linear(mat, rho.coords())
-    assert psi_coeffs is not None, "m generates, so the power matrix is invertible"
-    psi = UniPoly(psi_coeffs)
-    # disc_m != 0 proved chi_m squarefree: its algebra skips that test
-    psi_algebra = EtaleAlgebra._of_squarefree(chi_m)
+    rows = [[q.num[i] for q in powers] + [rho.num[i]] for i in range(DEGREE)]
+    _bareiss_echelon(rows)
+    det, y = rows[-1][DEGREE - 1], [0] * DEGREE
+    for i in reversed(range(DEGREE)):
+        y[i] = (det * rows[i][DEGREE] - sum(
+            rows[i][j] * y[j] for j in range(i + 1, DEGREE))) // rows[i][i]
+    psi = UniPoly._from_num([v * q.den for v, q in zip(y, powers)],
+                            det * rho.den)
 
     report = RadicandReport(
         rho=rho,
@@ -260,17 +261,3 @@ def run_strategy(p: UniPoly, x=None, l=None):
     surface = build_quadrics(inp)
     report = radicand_report(inp)
     return surface, report
-
-
-def norm_form(algebra: EtaleAlgebra, a: AlgElement, b: AlgElement) -> BinaryQuintic:
-    """resultant_T(p, lambda*a(T) + mu*b(T)) as a binary quintic.
-
-    Equals the product over embeddings of (lambda iota(a) + mu iota(b));
-    computed by interpolating six rational resultants, independently of
-    the multiplication-matrix norm.
-    """
-    ts = [0, 1, -1, 2, -2, 3]
-    gs = [a.poly * t + b.poly for t in ts]
-    poly = UniPoly.interpolate(
-        ts, [algebra.p.resultant(g) if g else Fraction(0) for g in gs])
-    return BinaryQuintic([poly[k] for k in range(6)])

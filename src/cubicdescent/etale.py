@@ -1,6 +1,7 @@
 """The quintic etale algebra A = Q[T]/(p) and its element arithmetic.
 
-p must be a monic squarefree quintic with rational coefficients.  An
+p must be a monic quintic with rational coefficients and a nonzero
+discriminant (its squarefree test).  An
 element is five integer numerators x_0..x_4 over one positive denominator
 d, reduced by their gcd: the residue polynomial (x_0 + ... + x_4 T^4) / d.
 The algebra keeps P = delta * p, p cleared of its least common denominator
@@ -14,10 +15,10 @@ The trace is one linear functional: the algebra keeps the power sums
 s_k = Tr(r^k), read off P's coefficients by Newton's identities in
 integers, as numerators over one common denominator, and
 Tr(x) = sum_k x_k s_k is one integer dot product and one Fraction.
-Characteristic polynomials and norms follow from the traces of the
-powers of x by Newton's identities again, so no embedding is ever
-computed numerically; nor is a gcd: an element is a unit when its norm
-is nonzero, and its inverse comes from its characteristic polynomial.
+Characteristic polynomials and norms follow from the integer traces of
+the powers of an algebraic-integer multiple of x by Newton's identities
+again, so no embedding is computed numerically; nor is a gcd: a unit is
+an element of nonzero norm, inverted by its characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from math import gcd
 from operator import mul
 
 from .errors import NonGeneratorError, NotEtaleError, ZeroDivisorError
-from .intfactor import over_common_denominator
 from .unipoly import UniPoly
 
 DEGREE = 5
@@ -58,18 +58,20 @@ def _newton_power_sums(p_num, count: int) -> tuple:
     return tuple(v // g for v in num), lead ** top // g
 
 
-def _newton_charpoly(traces) -> UniPoly:
-    """The monic polynomial of degree n = len(traces) whose roots have the
-    power sums traces[0] = s_1, ..., traces[n-1] = s_n; each division is by
-    some k <= n and exact in Fractions."""
-    n = len(traces)
-    c = [Fraction(1)]                    # c[j]: coefficient of T^(n-j)
+def _newton_charpoly(power_sums, scale: int) -> UniPoly:
+    """The monic polynomial with the roots z_i / scale, for n algebraic
+    integers z_i with the power sums power_sums[k - 1] = sum_i z_i^k:
+    Newton's identities in integers (each division by k exact), then
+    each coefficient of T^(n-k) divided by scale^k."""
+    n = len(power_sums)
+    c = [1]                              # c[k]: (-1)^k e_k
     for k in range(1, n + 1):
-        acc = traces[k - 1]
+        acc = power_sums[k - 1]
         for j in range(1, k):
-            acc += c[j] * traces[k - j - 1]
-        c.append(-acc / k)
-    return UniPoly(c[::-1])
+            acc += c[j] * power_sums[k - j - 1]
+        c.append(-acc // k)
+    return UniPoly._from_num([ck * scale ** (n - k)
+                              for k, ck in enumerate(c)][::-1], scale ** n)
 
 
 class EtaleAlgebra:
@@ -89,20 +91,9 @@ class EtaleAlgebra:
             raise NotEtaleError("defining polynomial must be monic")
         if not p.is_squarefree():
             raise NotEtaleError("defining polynomial must be squarefree")
-        self._build(p)
-
-    @classmethod
-    def _of_squarefree(cls, p: UniPoly) -> "EtaleAlgebra":
-        """The algebra of a monic quintic UniPoly already known to be
-        squarefree (say from a nonzero discriminant), not tested again."""
-        algebra = cls.__new__(cls)
-        algebra._build(p)
-        return algebra
-
-    def _build(self, p: UniPoly):
         self.p = p
-        num, self.p_den = over_common_denominator(p.coeffs)
-        self.p_num = tuple(num)
+        # p is monic, so its numerators over its denominator are P
+        self.p_num, self.p_den = p.num, p.den
         self.power_sum_num, self.power_sum_den = _newton_power_sums(
             self.p_num, POWER_SUM_COUNT)
 
@@ -115,6 +106,15 @@ class EtaleAlgebra:
         """Tr(r^k) for k < POWER_SUM_COUNT, as Fractions."""
         return tuple(Fraction(s, self.power_sum_den)
                      for s in self.power_sum_num)
+
+    def multiply(self, x, y) -> tuple:
+        """(numerators, k): reduce of the convolution of x and y."""
+        c = [0] * (2 * DEGREE - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    c[i + j] += a * b
+        return self.reduce(c)
 
     def reduce(self, c: list) -> tuple:
         """(numerators, k): the pseudo-remainder p_den^k * c mod P of the
@@ -138,13 +138,12 @@ class EtaleAlgebra:
             if value.algebra is not self and value.algebra.p != self.p:
                 raise ValueError("element belongs to a different algebra")
             return value
-        if isinstance(value, UniPoly):
-            value = value.coeffs
-        elif isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)):
             value = (value,)
-        num, den = over_common_denominator(value)
-        num, k = self.reduce(num)
-        return AlgElement(self, num, den * self.p_den ** k)
+        if not isinstance(value, UniPoly):
+            value = UniPoly(value)
+        num, k = self.reduce(list(value.num))
+        return AlgElement(self, num, value.den * self.p_den ** k)
 
     def zero(self) -> "AlgElement":
         return AlgElement(self, (0,) * DEGREE)
@@ -168,25 +167,6 @@ class EtaleAlgebra:
 
     def __repr__(self):
         return f"EtaleAlgebra({self.p})"
-
-
-def split_idempotents(algebra: EtaleAlgebra, roots) -> list:
-    """The orthogonal idempotents of a split algebra with the given
-    distinct rational roots (Lagrange interpolation basis)."""
-    return [from_split_values(algebra, roots,
-                              [int(j == i) for j in range(DEGREE)])
-            for i in range(DEGREE)]
-
-
-def from_split_values(algebra: EtaleAlgebra, roots, values) -> "AlgElement":
-    """Element of a split algebra with prescribed value at each root: the
-    interpolating polynomial of degree < 5."""
-    roots = [Fraction(r) for r in roots]
-    if len(roots) != DEGREE or len(set(roots)) != DEGREE:
-        raise NotEtaleError("need 5 distinct rational roots")
-    if UniPoly.from_roots(roots) != algebra.p:
-        raise ValueError("roots do not match the defining polynomial")
-    return algebra.element(UniPoly.interpolate(roots, values))
 
 
 class AlgElement:
@@ -213,7 +193,7 @@ class AlgElement:
     @property
     def poly(self) -> UniPoly:
         """The residue polynomial of degree < 5."""
-        return UniPoly(self.coords())
+        return UniPoly._from_num(self.num, self.den)
 
     def _coerce(self, other) -> "AlgElement":
         if isinstance(other, AlgElement):
@@ -248,12 +228,7 @@ class AlgElement:
                               [x * c.numerator for x in self.num],
                               self.den * c.denominator)
         other = self._coerce(other)
-        c = [0] * (2 * DEGREE - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(other.num):
-                    c[i + j] += x * y
-        num, k = self.algebra.reduce(c)
+        num, k = self.algebra.multiply(self.num, other.num)
         return AlgElement(self.algebra, num,
                           self.den * other.den * self.algebra.p_den ** k)
 
@@ -263,24 +238,21 @@ class AlgElement:
         if n < 0:
             return self.inverse() ** (-n)
         result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
-    def inverse(self) -> "AlgElement":
-        """Inverse by Cayley-Hamilton: chi(x) = 0 and chi(0) = -N(x), so
-        x^-1 = h(x) / N(x) for h = (chi - chi(0)) / T.  Non-units, whose
-        norm is 0, are zero divisors."""
-        chi = self.charpoly_of()
-        if chi[0] == 0:
+    def inverse(self, chi: UniPoly | None = None) -> "AlgElement":
+        """Cayley-Hamilton with chi, the characteristic polynomial of self
+        (computed if not given): x^-1 = -h(x) / chi(0), h = (chi - chi(0)) / T,
+        on the numerators C of chi C_1 + ... + C_5 T^4 over -C_0.
+        Non-units, whose norm is 0, are zero divisors."""
+        chi = self.charpoly_of() if chi is None else chi
+        if chi.num[0] == 0:
             g = self.poly.gcd(self.algebra.p)
             raise ZeroDivisorError(
                 f"element with gcd {g} against the modulus is not a unit")
-        return self.evaluate_poly(UniPoly(chi.coeffs[1:])) * (-1 / chi[0])
+        return self.evaluate_poly(UniPoly._from_num(chi.num[1:], -chi.num[0]))
 
     def __truediv__(self, other) -> "AlgElement":
         return self * self._coerce(other).inverse()
@@ -305,14 +277,19 @@ class AlgElement:
         return -self.charpoly_of()[0]
 
     def charpoly_of(self) -> UniPoly:
-        """Newton's identities applied to Tr(x^k), k = 1..5; its roots are
-        the images of self under the five embeddings."""
-        traces = [self.trace()]
-        power = self
-        for _ in range(DEGREE - 1):
-            power = power * self
-            traces.append(power.trace())
-        return _newton_charpoly(traces)
+        """Newton's identities on Tr(z^k), k = 1..5, for the algebraic
+        integer z = scale * x = p_den^4 * num(r), scale = den * p_den^4;
+        its roots are the images of self under the five embeddings."""
+        algebra = self.algebra
+        scale = self.den * algebra.p_den ** (DEGREE - 1)
+        sums, power = [], self
+        for k in range(1, DEGREE + 1):
+            if k > 1:
+                power = power * self
+            sums.append(scale ** k * sum(map(mul, power.num,
+                                             algebra.power_sum_num))
+                        // (power.den * algebra.power_sum_den))
+        return _newton_charpoly(sums, scale)
 
     def is_generator(self) -> bool:
         return self.charpoly_of().is_squarefree()
@@ -330,11 +307,14 @@ class AlgElement:
         return self.evaluate_poly(chi.derivative())
 
     def evaluate_poly(self, f: UniPoly) -> "AlgElement":
-        """f(self) in the algebra, by Horner."""
-        acc = self.algebra.zero()
-        for c in reversed(f.coeffs):
-            acc = acc * self + c
-        return acc
+        """f(self) in the algebra, by Horner on the numerators of f and
+        self over the product of the denominators met, reduced once."""
+        algebra, acc, den = self.algebra, [0] * DEGREE, 1
+        for c in reversed(f.num):
+            acc, k = algebra.multiply(acc, self.num)
+            den *= self.den * algebra.p_den ** k
+            acc[0] += c * den
+        return AlgElement(algebra, acc, den * f.den)
 
     def __eq__(self, other):
         return (isinstance(other, AlgElement)

@@ -350,10 +350,9 @@ def _conjugate_norm_class(V: DP4Surface, f: UniPoly) -> int | None:
         g = _pencil_minor(V.Q0, V.Q1, [i for i in range(5) if i != k])
         if g.is_zero():
             continue
-        if f.gcd(g).degree == 0:
-            res = f.resultant(g)
-            if res != 0:
-                return squarefree_class(res)
+        res = f.resultant(g)        # 0 exactly when f and g share a root
+        if res != 0:
+            return squarefree_class(res)
     return None
 
 

@@ -47,8 +47,8 @@ def as_fraction(x) -> Fraction:
 
 def over_common_denominator(values) -> tuple:
     """(numerators, denominator): the rationals `values` written over
-    their least common denominator."""
-    values = [as_fraction(v) for v in values]
+    their least common denominator (an int is its own numerator)."""
+    values = [v if isinstance(v, int) else as_fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 

@@ -1,10 +1,11 @@
 """Factorization of univariate polynomials over Q, up to degree 8.
 
-Pipeline: Yun squarefree decomposition, then per squarefree part a
-Zassenhaus round: factor mod the least good odd prime p, Hensel lift to
-p^L past the Mignotte bound, and recombine factors by subset search.  All
-arithmetic mod p and mod p^L is gfpoly's; only the trial division of a
-recombined factor is done over Z.  Every factor,
+Pipeline: a nonzero discriminant proves f squarefree; otherwise Yun's
+squarefree decomposition (gcds on integer numerators).  Then per
+squarefree part a Zassenhaus round: factor mod the least good odd prime
+p, Hensel lift to p^L past the Mignotte bound, and recombine factors by
+subset search.  All arithmetic mod p and mod p^L is gfpoly's; only the
+trial division of a recombined factor is done over Z.  Every factor,
 linear ones included, comes out of that one path; rational roots are read
 off the linear factors.  Degrees are capped at 8, so subset recombination
 never exceeds 2^8 trials.
@@ -19,7 +20,7 @@ from .errors import PreconditionError, ZeroPolynomialError
 from .gfpoly import (gp_add, gp_divmod, gp_factor_squarefree, gp_from_int_poly,
                      gp_is_squarefree, gp_monic, gp_mul, gp_sub, gp_xgcd)
 from .intfactor import is_probable_prime, primitive_part
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _pseudo_divmod
 
 MAX_DEGREE = 8
 
@@ -41,8 +42,9 @@ def factor_unipoly(f: UniPoly):
 
     constant = f.lc()
     work = f.monic()
-
-    factors = [(irr, mult) for sqf, mult in _yun_squarefree(work)
+    # a nonzero discriminant proves f squarefree; only then is Yun skipped
+    parts = [(work, 1)] if f.discriminant() != 0 else _yun_squarefree(work)
+    factors = [(irr, mult) for sqf, mult in parts
                for irr in _factor_squarefree(sqf)]
     factors.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return constant, factors
@@ -63,12 +65,10 @@ def is_irreducible(f: UniPoly) -> bool:
 
 
 def _yun_squarefree(f: UniPoly) -> list:
-    """Yun's algorithm: [(g_i, i)] with f = prod g_i^i, each g_i squarefree."""
-    f = f.monic()
+    """Yun's algorithm: [(g_i, i)] with f = prod g_i^i, each g_i squarefree,
+    for monic f."""
     df = f.derivative()
     g = f.gcd(df)
-    if g.degree == 0:
-        return [(f, 1)]
     out = []
     b = f // g
     c = df // g
@@ -91,12 +91,8 @@ def _factor_squarefree(f: UniPoly) -> list:
     """Monic irreducible factors of monic squarefree f (degree >= 1)."""
     if f.degree == 1:
         return [f]
-    _, prim = f.primitive()
-    parts = _zassenhaus(prim.int_coeffs())
-    out = []
-    for c in parts:
-        out.append(UniPoly(c).monic())
-    return out
+    return [UniPoly._from_num(c, c[-1])
+            for c in _zassenhaus(f.primitive()[1].int_coeffs())]
 
 
 def _choose_prime(c: list) -> int:
@@ -120,27 +116,6 @@ def _sym_rem(v: int, m: int) -> int:
     if v > m // 2:
         v -= m
     return v
-
-
-def _int_divmod(a: list, b: list):
-    """Division in Z[x]; returns (quo, rem) or None when lc(b) does not
-    divide exactly along the way."""
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], a
-    quo = [0] * (len(a) - db)
-    for k in range(len(a) - 1 - db, -1, -1):
-        if a[db + k] % b[-1] != 0:
-            return None
-        c = a[db + k] // b[-1]
-        quo[k] = c
-        if c:
-            for j, y in enumerate(b):
-                a[j + k] -= c * y
-    while a and a[-1] == 0:
-        a.pop()
-    return quo, a
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -216,10 +191,12 @@ def _zassenhaus(c: list) -> list:
                 # primitive, with a positive leading coefficient
                 _, top = primitive_part([_sym_rem(v, m) for v in reversed(trial)])
                 trial = top[::-1]
-                dv = _int_divmod(current, trial)
-                if dv is not None and not dv[1]:
+                # trial is primitive, so it divides over Z (Gauss) when
+                # the pseudo-remainder vanishes
+                quo, rem = _pseudo_divmod(current, trial)
+                if not rem:
                     result.append(trial)
-                    current = dv[0]
+                    current = [v // trial[-1] ** len(quo) for v in quo]
                     remaining = [i for i in remaining if i not in subset]
                     found = True
                     break

@@ -1,28 +1,103 @@
-"""Dense univariate polynomials over Q.
-
-Coefficients are stored lowest degree first; the zero polynomial is the
-empty tuple and has degree -1.
+"""Dense univariate polynomials over Q: integer numerators num, lowest
+degree first, over one positive denominator den, reduced by their gcd;
+the zero polynomial has num = () and degree -1.  Arithmetic, pseudo-
+division, gcds, resultants and discriminants (the subresultant sequence)
+run on the numerators; coeffs, the Fractions, is built on first use.  A
+polynomial is squarefree when its discriminant, kept once computed, is
+nonzero, so it is proved squarefree once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import zip_longest
+from math import gcd, prod
 
 from .errors import ZeroPolynomialError
-from .intfactor import as_fraction, over_common_denominator, primitive_part
+from .intfactor import as_fraction, over_common_denominator
+
+
+def _pseudo_divmod(a, b) -> tuple:
+    """(quo, rem) on integer lists with lead^(deg a - deg b + 1) * a
+    = quo * b + rem and deg rem < deg b, lead = b[-1]; deg a >= deg b."""
+    rem, db, lead = list(a), len(b) - 1, b[-1]
+    quo = []
+    for k in range(len(a) - 1 - db, -1, -1):
+        t = rem.pop()
+        if lead != 1:
+            rem = [v * lead for v in rem]
+            quo = [v * lead for v in quo]
+        quo.append(t)
+        if t:
+            for j in range(db):
+                rem[j + k] -= t * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo[::-1], rem
+
+
+def _subresultants(a, b) -> tuple:
+    """(Res(a, b), r) for nonzero integer lists: the resultant by the
+    subresultant sequence (Cohen, Algorithm 3.3.7), every division in it
+    exact, and r its last nonzero member, gcd(a, b) up to a constant."""
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        res, r = _subresultants(b, a)
+        return (-1) ** (da * db) * res, r
+    if db == 0:
+        return b[0] ** da, b
+    ca, cb = gcd(*a), gcd(*b)
+    a, b = [v // ca for v in a], [v // cb for v in b]
+    acc = ca ** db * cb ** da
+    g = h = 1
+    while True:
+        delta = da - db
+        if da % 2 and db % 2:
+            acc = -acc
+        r = _pseudo_divmod(a, b)[1]
+        if not r:
+            return 0, b
+        a, b = b, [v // (g * h ** delta) for v in r]
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+        da, db = db, len(b) - 1
+        if db == 0:
+            return acc * (b[0] ** da // h ** (da - 1)), b
 
 
 class UniPoly:
-    """Polynomial in one variable with Fraction coefficients."""
+    """Polynomial in one variable: integer numerators over one positive
+    denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs", "_disc")
 
     def __init__(self, coeffs=()):
-        c = [as_fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
+        self._set(*over_common_denominator(coeffs))
+
+    def _set(self, num: list, den: int):
+        """Store num / den (the list is consumed), trimmed and reduced."""
+        while num and num[-1] == 0:
+            num.pop()
+        g = gcd(*num, den)
+        if den < 0:
+            g = -g
+        self.num = tuple(v // g for v in num)
+        self.den = den // g
+        self._coeffs = self._disc = None
+
+    @classmethod
+    def _from_num(cls, num, den: int = 1) -> "UniPoly":
+        """num / den for integers num, lowest degree first, and den != 0."""
+        poly = cls.__new__(cls)
+        poly._set(list(num), den)
+        return poly
+
+    @property
+    def coeffs(self) -> tuple:
+        """The Fraction coefficients, lowest degree first."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(v, self.den) for v in self.num)
+        return self._coeffs
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -74,49 +149,51 @@ class UniPoly:
         for c, t in zip(reversed(newton), reversed(nodes)):
             acc = [a - t * b for a, b in zip([0] + acc, acc + [0])]
             acc[0] += c
-        return cls([Fraction(c * dt ** k, w * dv) for k, c in enumerate(acc)])
+        return cls._from_num([c * dt ** k for k, c in enumerate(acc)], w * dv)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, UniPoly) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
-    def __add__(self, other) -> "UniPoly":
+    def _combine(self, other, sign: int) -> "UniPoly":
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[k] + other[k] for k in range(n)])
+        d, e = self.den, other.den
+        return UniPoly._from_num(
+            [x * e + sign * y * d
+             for x, y in zip_longest(self.num, other.num, fillvalue=0)], d * e)
+
+    def __add__(self, other) -> "UniPoly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._from_num([-v for v in self.num], self.den)
 
     def __sub__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "UniPoly":
         return (-self) + other
@@ -124,15 +201,16 @@ class UniPoly:
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
             c = as_fraction(other)
-            return UniPoly([c * a for a in self.coeffs])
-        if not self.coeffs or not other.coeffs:
+            return UniPoly._from_num([c.numerator * v for v in self.num],
+                                     self.den * c.denominator)
+        if not self.num or not other.num:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._from_num(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -140,32 +218,23 @@ class UniPoly:
         if n < 0:
             raise ValueError("negative power")
         result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __divmod__(self, other: "UniPoly"):
+        """Pseudo-division: lc(G)^(k+1) F = Q G + R, k = deg f - deg g, for
+        f = F / d, g = G / e gives Q e and R over d lc(G)^(k+1)."""
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(other)
         if other.is_zero():
             raise ZeroPolynomialError("division by the zero polynomial")
         if self.degree < other.degree:
             return UniPoly.zero(), self
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        quo = [Fraction(0)] * (dq + 1)
-        dlc = other.lc()
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k] / dlc
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return UniPoly(quo), UniPoly(rem)
+        quo, rem = _pseudo_divmod(self.num, other.num)
+        scale = self.den * other.num[-1] ** len(quo)
+        return (UniPoly._from_num([v * other.den for v in quo], scale),
+                UniPoly._from_num(rem, scale))
 
     def __floordiv__(self, other) -> "UniPoly":
         return divmod(self, other)[0]
@@ -177,11 +246,14 @@ class UniPoly:
         return (other % self).is_zero()
 
     def evaluate(self, x) -> Fraction:
+        """f(a / b): sum num_k a^k b^(n-k) by Horner, over den * b^n."""
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for v in reversed(self.num):
+            acc = acc * a + v * scale
+            scale *= b
+        return Fraction(acc * b, self.den * scale)
 
     def compose(self, other: "UniPoly") -> "UniPoly":
         acc = UniPoly.zero()
@@ -190,27 +262,24 @@ class UniPoly:
         return acc
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return UniPoly._from_num([k * v for k, v in enumerate(self.num)][1:],
+                                 self.den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroPolynomialError("monic of the zero polynomial")
-        c = self.lc()
-        if c == 1:
+        if self.num[-1] == self.den:
             return self
-        return UniPoly([a / c for a in self.coeffs])
+        return UniPoly._from_num(self.num, self.num[-1])
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.lc() == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd (Euclid); gcd(0, 0) = 0."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        """Monic gcd, from the subresultant sequence; gcd(0, 0) = 0."""
+        a, b = self.num, other.num
+        r = _subresultants(a, b)[1] if a and b else a or b
+        return UniPoly._from_num(r, r[-1]) if r else UniPoly.zero()
 
     def xgcd(self, other: "UniPoly"):
         """Extended gcd: (g, s, t) monic g with s*self + t*other = g."""
@@ -230,60 +299,48 @@ class UniPoly:
     def is_squarefree(self) -> bool:
         if self.is_zero():
             return False
-        if self.degree == 0:
-            return True
-        return self.gcd(self.derivative()).degree == 0
+        return self.degree == 0 or self.discriminant() != 0
 
     def primitive(self):
-        """Return (content, integer-coefficient primitive part).
-
-        content is a Fraction with self = content * primitive, the primitive
-        part having integer coefficients, gcd 1, and positive leading
-        coefficient.
-        """
-        content, ints = primitive_part(reversed(self.coeffs))
-        return content, UniPoly(ints[::-1])
+        """(content, primitive part): self = content * primitive, content a
+        Fraction, the primitive part with coprime integer coefficients and
+        a positive leading one."""
+        if not self.num:
+            return Fraction(0), self
+        g = gcd(*self.num)
+        if self.num[-1] < 0:
+            g = -g
+        return Fraction(g, self.den), UniPoly._from_num([v // g for v in self.num])
 
     def int_coeffs(self) -> list:
-        if any(c.denominator != 1 for c in self.coeffs):
+        if self.den != 1:
             raise ValueError("non-integer coefficients")
-        return [int(c) for c in self.coeffs]
+        return list(self.num)
 
     def resultant(self, other: "UniPoly") -> Fraction:
-        """Resultant via the subresultant-free Euclidean recursion.
-
-        Exact over Q.  Res(f, g) = lc(f)^deg(g) * prod g(alpha_i) over the
-        roots of f.
-        """
-        f, g = self, other
-        if f.is_zero() or g.is_zero():
+        """Res(f, g) = lc(f)^deg(g) * prod g(alpha_i) over the roots of f:
+        for f = F / d and g = G / e, Res(F, G) / (d^deg(g) e^deg(f))."""
+        if not self.num or not other.num:
             return Fraction(0)
-        acc = Fraction(1)
-        while g.degree > 0:
-            if f.degree < g.degree:
-                if (f.degree * g.degree) % 2 == 1:
-                    acc = -acc
-                f, g = g, f
-                continue
-            r = f % g
-            if r.is_zero():
-                return Fraction(0)
-            if (f.degree * g.degree) % 2 == 1:
-                acc = -acc
-            acc *= g.lc() ** (f.degree - r.degree)
-            f, g = g, r
-        return acc * g.lc() ** f.degree
+        return Fraction(_subresultants(self.num, other.num)[0],
+                        self.den ** other.degree * other.den ** self.degree)
 
     def discriminant(self) -> Fraction:
-        """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-        n = self.degree
-        if n < 1:
-            raise ZeroPolynomialError("discriminant needs degree >= 1")
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        return sign * self.resultant(self.derivative()) / self.lc()
+        """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f): for f = F / d,
+        the integer disc(F) over d^(2n - 2).  Kept once computed."""
+        if self._disc is None:
+            n = self.degree
+            if n < 1:
+                raise ZeroPolynomialError("discriminant needs degree >= 1")
+            num = self.num
+            res = _subresultants(num, [k * v for k, v in enumerate(num)][1:])[0]
+            sign = -1 if (n * (n - 1) // 2) % 2 else 1
+            self._disc = Fraction(sign * res // num[-1],
+                                  self.den ** (2 * n - 2))
+        return self._disc
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "UniPoly(0)"
         parts = []
         for k in range(self.degree, -1, -1):

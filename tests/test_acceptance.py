@@ -15,11 +15,10 @@ import time
 from fractions import Fraction
 
 from cubicdescent.descent import (DescentInput, DP4Surface, build_quadrics,
-                                  norm_form, power_basis_form,
-                                  radicand_report, strategy_ab, trace_gram)
+                                  power_basis_form, radicand_report,
+                                  strategy_ab)
 from cubicdescent.errors import DegenerateSurfaceError
-from cubicdescent.etale import (EtaleAlgebra, from_split_values,
-                                split_idempotents)
+from cubicdescent.etale import EtaleAlgebra
 from cubicdescent.forms import (ProjPoint, QuadForm, contains_line,
                                 p1_normalize, pencil_determinant,
                                 restrict_to_hyperplane, signature)
@@ -39,6 +38,8 @@ from cubicdescent.unipoly import UniPoly
 from conftest import (PAPER_POINT, random_cubic_with_line,
                       random_dp4_with_point, random_quadform,
                       random_squarefree_quintic)
+from oracles import (from_split_values, norm_form, split_idempotents,
+                     trace_gram)
 
 EXPECTED_EXHAUSTIVE_COUNT_H100 = 8   # frozen exhaustive count, see note
 

@@ -23,7 +23,8 @@ SPLIT_CONFIG = {
 
 
 def _split_config():
-    from cubicdescent.etale import EtaleAlgebra, split_idempotents
+    from cubicdescent.etale import EtaleAlgebra
+    from oracles import split_idempotents
     from cubicdescent.serialize import frac_to_str
     from cubicdescent.unipoly import UniPoly
 

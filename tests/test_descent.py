@@ -4,17 +4,20 @@ from fractions import Fraction
 import pytest
 
 from cubicdescent.descent import (DescentInput, build_quadrics,
-                                  norm_form, power_basis_form, radicand_report,
-                                  run_strategy, strategy_ab, trace_gram)
-from cubicdescent.errors import (DegeneratePencilError, NonGeneratorError,
-                                 NotEtaleError, ZeroDivisorError)
-from cubicdescent.etale import EtaleAlgebra, from_split_values, split_idempotents
+                                  power_basis_form, radicand_report,
+                                  run_strategy, strategy_ab)
+from cubicdescent.errors import (DegeneratePencilError, DependentFormsError,
+                                 NonGeneratorError, NotEtaleError,
+                                 ZeroDivisorError)
+from cubicdescent.etale import EtaleAlgebra
 from cubicdescent.forms import QuadForm, pencil_determinant
 from cubicdescent.intfactor import is_perfect_square, squarefree_class
 from cubicdescent.linalg import Matrix, det
 from cubicdescent.unipoly import UniPoly
 
 from conftest import random_squarefree_quintic
+from oracles import (from_split_values, norm_form, split_idempotents,
+                     trace_gram)
 
 SPLIT_ROOTS = [0, 1, 2, 3, 4]
 
@@ -187,3 +190,23 @@ def test_dependent_forms_rejected(paper_p):
     from cubicdescent.errors import DependentFormsError
 
     assert isinstance(exc.value, DependentFormsError)
+
+
+def test_splitting_norm_is_the_norm_of_the_splitting_element():
+    # N(c * rho) = c^5 * N(rho) for the rational c = disc_tritangent
+    rng = random.Random(2323)
+    done = 0
+    while done < 24:
+        p = random_squarefree_quintic(rng, bound=6)
+        A = EtaleAlgebra(p)
+        x = None if done % 2 == 0 else A.element(
+            [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(5)])
+        l = None if done % 4 < 2 else [
+            [rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
+        try:
+            _, rep = run_strategy(p, x, l)
+        except (NonGeneratorError, DegeneratePencilError, DependentFormsError):
+            continue
+        assert rep.splitting_norm == rep.splitting_element.norm()
+        assert rep.splitting_norm == rep.disc_tritangent ** 5 * rep.norm_rho
+        done += 1

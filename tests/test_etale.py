@@ -5,13 +5,12 @@ import pytest
 
 from cubicdescent.errors import (NonGeneratorError, NotEtaleError,
                                  ZeroDivisorError)
-from cubicdescent.descent import trace_gram
-from cubicdescent.etale import (DEGREE, EtaleAlgebra, from_split_values,
-                                split_idempotents)
+from cubicdescent.etale import DEGREE, EtaleAlgebra
 from cubicdescent.linalg import Matrix, charpoly, det
 from cubicdescent.unipoly import UniPoly
 
 from conftest import PAPER_P
+from oracles import from_split_values, split_idempotents, trace_gram
 
 
 def mul_matrix(e) -> Matrix:

@@ -1,23 +1,23 @@
-"""The integer-numerator algebra against the UniPoly/Fraction arithmetic
-it replaced, kept here as the oracle: residue polynomials reduced by
-Fraction long division, the trace from Fraction power sums, the inverse
-from the extended gcd."""
+"""The integer-numerator algebra against the Fraction polynomial arithmetic
+it replaced, kept here as the oracle: residue polynomials (FractionPoly)
+reduced by Fraction long division, the trace from Fraction power sums, the
+inverse from the extended gcd."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from cubicdescent.descent import trace_gram
 from cubicdescent.errors import NonGeneratorError, ZeroDivisorError
 from cubicdescent.etale import DEGREE, POWER_SUM_COUNT, EtaleAlgebra
 from cubicdescent.linalg import Matrix
 from cubicdescent.unipoly import UniPoly
 
 from conftest import PAPER_P
+from oracles import FractionPoly, trace_gram
 
 
-def oracle_power_sums(p: UniPoly, count: int) -> list:
+def oracle_power_sums(p, count: int) -> list:
     """Newton's identities in Fractions."""
     c = p.coeffs
     s = [Fraction(DEGREE)]
@@ -30,11 +30,12 @@ def oracle_power_sums(p: UniPoly, count: int) -> list:
 
 
 class PolyElement:
-    """Oracle element: a UniPoly of degree < 5 reduced mod p."""
+    """Oracle element: a FractionPoly of degree < 5 reduced mod p."""
 
-    def __init__(self, p: UniPoly, poly):
-        if not isinstance(poly, UniPoly):
-            poly = UniPoly(poly)
+    def __init__(self, p, poly):
+        p = FractionPoly(p.coeffs)
+        if not isinstance(poly, FractionPoly):
+            poly = FractionPoly(getattr(poly, "coeffs", poly))
         self.p = p
         self.poly = poly % p
 
@@ -78,9 +79,9 @@ class PolyElement:
             for j in range(1, k):
                 acc += c[j] * traces[k - j - 1]
             c.append(-acc / k)
-        return UniPoly(c[::-1])
+        return FractionPoly(c[::-1])
 
-    def evaluate_poly(self, f: UniPoly):
+    def evaluate_poly(self, f):
         acc = PolyElement(self.p, [])
         for c in reversed(f.coeffs):
             acc = PolyElement(self.p, acc.poly * self.poly + c)
@@ -134,7 +135,7 @@ def pairs(A, rng, count):
 
 
 def same(e, o):
-    return e.coords() == o.coords() and e.poly == o.poly
+    return e.coords() == o.coords() and e.poly.coeffs == o.poly.coeffs
 
 
 @pytest.mark.parametrize("k", range(len(QUINTICS)))
@@ -147,7 +148,7 @@ def test_arithmetic_against_poly_oracle(k):
     for e, o in elements:
         assert same(e, o)
         assert e.trace() == o.trace()
-        assert e.charpoly_of() == o.charpoly()
+        assert e.charpoly_of().coeffs == o.charpoly().coeffs
         assert e.norm() == -o.charpoly()[0]
         assert e.is_unit() == o.is_unit()
         for n in range(6):

@@ -110,7 +110,8 @@ def test_sign_well_defined_under_representative_change(paper_strategy):
 def test_split_rho_square_identity_class():
     # split p with rho a square in each coordinate: all signs +
     from cubicdescent.descent import DescentInput, radicand_report
-    from cubicdescent.etale import EtaleAlgebra, from_split_values, split_idempotents
+    from cubicdescent.etale import EtaleAlgebra
+    from oracles import from_split_values, split_idempotents
 
     roots = [1, 2, 3, 4, 6]
     A = EtaleAlgebra.from_roots(roots)

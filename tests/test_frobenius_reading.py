@@ -162,7 +162,8 @@ def test_report_values_computed_once(monkeypatch):
                         counted("norm", type(rep.splitting_element).norm))
     sr = sample_frobenius(rep, prime_count=20, prime_bound=200)
     assert sr.sample_count == 20
-    assert calls == {"factor": 0, "disc": 0, "norm": 1}
+    # the splitting norm is disc_tritangent^5 * norm_rho: no norm is taken
+    assert calls == {"factor": 0, "disc": 0, "norm": 0}
 
 
 def test_reading_makes_no_random_split(monkeypatch):
