@@ -22,9 +22,9 @@ from .errors import (DegeneratePencilError, DependentFormsError,
                      NonGeneratorError, ZeroDivisorError)
 from .etale import DEGREE, AlgElement, EtaleAlgebra
 from .forms import BinaryQuintic, QuadForm, p1_normalize, pencil_determinant
-from .intfactor import (is_perfect_square, over_common_denominator,
-                        squarefree_class)
-from .linalg import _bareiss_echelon, _int_det, _int_rank
+from .intfactor import is_perfect_square, squarefree_class
+from .linalg import (Matrix, _back_substitute, _bareiss_echelon, _int_det,
+                     _int_rank)
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
 
@@ -41,9 +41,9 @@ class DescentInput:
     def __post_init__(self):
         if len(self.l) != DEGREE:
             raise DependentFormsError("l needs exactly five coefficients")
-        num, _ = _trace_gram_num(self.algebra.one(), self.l)
-        if _int_det([num[i:i + DEGREE]
-                     for i in range(0, len(num), DEGREE)]) == 0:
+        # the trace form of an etale algebra is nondegenerate, so the
+        # c_j are independent exactly when their numerator rows are
+        if _int_det([list(c.num) for c in self.l]) == 0:
             raise DependentFormsError(
                 "conjugate linear forms are dependent (trace form degenerate)")
 
@@ -137,30 +137,18 @@ class RadicandReport:
         return tuple((f.num, f.den) for f, _ in self.rational_factors)
 
 
-def _trace_gram_num(weight: AlgElement, l) -> tuple:
-    """(num, den): the matrix of trace(weight * c_j * c_k) as row-major
-    integer numerators over one denominator, C^T H C on integers.
-
-    With weight = w / d, the power sums s_i = S_i / sigma of the algebra
-    and column j of C the numerators of c_j = C_j / e over the common
-    denominator e of l, the Hankel numerators are
-    H[a][b] = sum_i w_i S_(i+a+b), and entry (j, k) is the integer
-    C_j^T H C_k over d * sigma * e^2."""
+def _trace_form(weight: AlgElement, basis: Matrix) -> QuadForm:
+    """The form trace(weight * (sum_j x_j c_j)^2), column j of basis the
+    coordinates of c_j: the Hankel form H[a][b] = Tr(weight * r^(a+b))
+    of the power basis, sum_i w_i s_(i+a+b) on the numerators of weight
+    and of the power sums, substituted by basis (C^T H C)."""
     algebra = weight.algebra
     s = algebra.power_sum_num
-    hankel = [sum(wi * s[i + m] for i, wi in enumerate(weight.num) if wi)
-              for m in range(2 * DEGREE - 1)]
-    scale, e = over_common_denominator([Fraction(1, cj.den) for cj in l])
-    cols = [[x * f for x in cj.num] for cj, f in zip(l, scale)]
-    hc = [[sum(hankel[a + b] * cb for b, cb in enumerate(col) if cb)
-           for col in cols] for a in range(DEGREE)]
-    n = len(cols)
-    num = [0] * (n * n)
-    for j, cj in enumerate(cols):
-        for k in range(j, n):
-            num[j * n + k] = num[k * n + j] = sum(
-                cj[a] * hc[a][k] for a in range(DEGREE))
-    return num, weight.den * algebra.power_sum_den * e * e
+    h = [sum(wi * s[i + m] for i, wi in enumerate(weight.num) if wi)
+         for m in range(2 * DEGREE - 1)]
+    hankel = [h[a + b] for a in range(DEGREE) for b in range(DEGREE)]
+    return QuadForm._from_num(DEGREE, hankel, weight.den
+                              * algebra.power_sum_den).substitute(basis)
 
 
 def power_basis_form(algebra: EtaleAlgebra) -> tuple:
@@ -170,8 +158,8 @@ def power_basis_form(algebra: EtaleAlgebra) -> tuple:
 
 def build_quadrics(inp: DescentInput) -> DP4Surface:
     """The two rational Gram matrices trace(a c_j c_k), trace(b c_j c_k)."""
-    q0 = QuadForm._from_num(DEGREE, *_trace_gram_num(inp.a, inp.l))
-    q1 = QuadForm._from_num(DEGREE, *_trace_gram_num(inp.b, inp.l))
+    basis = Matrix.from_rows(zip(*(cj.coords() for cj in inp.l)))
+    q0, q1 = _trace_form(inp.a, basis), _trace_form(inp.b, basis)
     try:
         return DP4Surface(q0, q1, provenance=inp)
     except DegeneratePencilError:
@@ -212,18 +200,14 @@ def radicand_report(inp: DescentInput) -> RadicandReport:
 
     # rho as a polynomial psi in m, psi(t) the radicand at (t : 1) for each
     # rational root t of chi_m.  With m^j = M_j / d_j and rho = R / e, one
-    # Bareiss elimination of [M_0 .. M_4 | R] (m generates: diagonal pivots,
-    # the last D = +-det) and back substitution give D * y in integers for
-    # sum_j y_j M_j = R; psi_j = y_j d_j / e.
+    # Bareiss elimination of [M_0 .. M_4 | R] and the integer back
+    # substitution give D * y for sum_j y_j M_j = R; psi_j = y_j d_j / e.
     powers = [algebra.one()]
     for _ in range(DEGREE - 1):
         powers.append(powers[-1] * m)
     rows = [[q.num[i] for q in powers] + [rho.num[i]] for i in range(DEGREE)]
-    _bareiss_echelon(rows)
-    det, y = rows[-1][DEGREE - 1], [0] * DEGREE
-    for i in reversed(range(DEGREE)):
-        y[i] = (det * rows[i][DEGREE] - sum(
-            rows[i][j] * y[j] for j in range(i + 1, DEGREE))) // rows[i][i]
+    y, det = _back_substitute(rows, _bareiss_echelon(rows)[0], [0] * DEGREE,
+                              DEGREE)
     psi = UniPoly._from_num([v * q.den for v, q in zip(y, powers)],
                             det * rho.den)
 

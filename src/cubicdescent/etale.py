@@ -24,11 +24,11 @@ an element of nonzero norm, inverted by its characteristic polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import NonGeneratorError, NotEtaleError, ZeroDivisorError
-from .unipoly import UniPoly
+from .intfactor import lowest_terms
+from .unipoly import UniPoly, _newton_charpoly
 
 DEGREE = 5
 #: power sums kept per algebra: trace forms Tr(w c_j c_k) on the power
@@ -53,25 +53,8 @@ def _newton_power_sums(p_num, count: int) -> tuple:
             acc += p_num[n - j] * lead ** (j - 1) * t[k - j]
         t.append(-acc)
     top = count - 1
-    num = [tk * lead ** (top - k) for k, tk in enumerate(t)]
-    g = gcd(*num, lead ** top)
-    return tuple(v // g for v in num), lead ** top // g
-
-
-def _newton_charpoly(power_sums, scale: int) -> UniPoly:
-    """The monic polynomial with the roots z_i / scale, for n algebraic
-    integers z_i with the power sums power_sums[k - 1] = sum_i z_i^k:
-    Newton's identities in integers (each division by k exact), then
-    each coefficient of T^(n-k) divided by scale^k."""
-    n = len(power_sums)
-    c = [1]                              # c[k]: (-1)^k e_k
-    for k in range(1, n + 1):
-        acc = power_sums[k - 1]
-        for j in range(1, k):
-            acc += c[j] * power_sums[k - j - 1]
-        c.append(-acc // k)
-    return UniPoly._from_num([ck * scale ** (n - k)
-                              for k, ck in enumerate(c)][::-1], scale ** n)
+    return lowest_terms([tk * lead ** (top - k) for k, tk in enumerate(t)],
+                        lead ** top)
 
 
 class EtaleAlgebra:
@@ -177,15 +160,8 @@ class AlgElement:
     __slots__ = ("algebra", "num", "den")
 
     def __init__(self, algebra: EtaleAlgebra, num, den: int = 1):
-        g = gcd(*num, den)
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = [v // g for v in num]
-            den //= g
         self.algebra = algebra
-        self.num = tuple(num)
-        self.den = den
+        self.num, self.den = lowest_terms(num, den)
 
     def coords(self) -> list:
         return [Fraction(v, self.den) for v in self.num]

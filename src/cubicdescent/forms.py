@@ -10,11 +10,11 @@ with the first nonzero coordinate positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .intfactor import as_fraction, over_common_denominator, primitive_part
+from .intfactor import (as_fraction, lowest_terms, over_common_denominator,
+                        primitive_part)
 from .linalg import Matrix, _int_det, charpoly, nullspace, rank
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
@@ -53,9 +53,7 @@ class QuadForm:
             raise PreconditionError("supported variable counts: 3, 4, 5")
         if not gram.is_symmetric():
             raise PreconditionError("Gram matrix must be symmetric")
-        num, self.den = over_common_denominator(gram._e)
-        self.n = gram.rows
-        self.num = tuple(num)
+        self.n, self.num, self.den = gram.rows, gram.num, gram.den
 
     @classmethod
     def _from_num(cls, n: int, num, den: int) -> "QuadForm":
@@ -63,11 +61,9 @@ class QuadForm:
         num, a symmetric matrix, over den > 0; reduced to lowest terms."""
         if n not in (3, 4, 5):
             raise PreconditionError("supported variable counts: 3, 4, 5")
-        g = gcd(*num, den)
         q = cls.__new__(cls)
         q.n = n
-        q.num = tuple(v // g for v in num)
-        q.den = den // g
+        q.num, q.den = lowest_terms(num, den)
         return q
 
     @classmethod
@@ -109,7 +105,7 @@ class QuadForm:
     @property
     def gram(self) -> Matrix:
         """The Gram matrix num / den."""
-        return Matrix(self.n, self.n, [Fraction(v, self.den) for v in self.num])
+        return Matrix._from_num(self.n, self.n, self.num, self.den)
 
     def upper_coeffs(self) -> list:
         """Row-major upper-triangular polynomial coefficients."""
@@ -131,7 +127,7 @@ class QuadForm:
         numerators C of change over d, divided by den * d^2."""
         if change.rows != self.n:
             raise PreconditionError("change of variables has wrong shape")
-        c, d = over_common_denominator(change._e)
+        c, d = change.num, change.den
         n, m, num = self.n, change.cols, self.num
         cols = [c[j::m] for j in range(m)]
         rows = [num[i * n:(i + 1) * n] for i in range(n)]
@@ -551,11 +547,12 @@ def contains_line(s: CubicForm4, line: ProjLine) -> bool:
 
 def signature(q: QuadForm):
     """Sylvester inertia (positives, negatives, zeros), read off the
-    characteristic polynomial of the Gram matrix by Descartes' rule of
-    signs, which is exact for a polynomial with only real roots: the zeros
-    are the multiplicity of the root 0 and the positives the sign changes
-    of the remaining coefficients."""
-    coeffs = charpoly(q.gram).coeffs
+    characteristic polynomial of the Gram numerators (den > 0 times the
+    Gram matrix, so the same signs) by Descartes' rule of signs, which is
+    exact for a polynomial with only real roots: the zeros are the
+    multiplicity of the root 0 and the positives the sign changes of the
+    remaining coefficients."""
+    coeffs = charpoly(Matrix._from_num(q.n, q.n, q.num)).num
     zeros = next(k for k, c in enumerate(coeffs) if c)
     signs = [c > 0 for c in coeffs[zeros:] if c]
     pos = sum(a != b for a, b in zip(signs, signs[1:]))

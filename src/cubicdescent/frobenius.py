@@ -95,36 +95,48 @@ def _residues(coeffs: dict, p: int) -> dict:
     return {e: v for e, v in zip(coeffs, _reduce(nums, den, p)) if v}
 
 
-def _reduce_map(coeffs: dict, p: int, what: str) -> dict:
-    """_residues, flagging p as bad when a denominator or the whole form
-    vanishes."""
-    out = _residues(coeffs, p)
-    if not out:
-        raise BadPrimeError(f"{what} vanishes mod {p}")
-    return out
-
-
 def reduce_cubic_mod_p(F: CubicForm4, p: int) -> dict:
     """Coefficient map of F mod p; flags p as bad when a denominator
     vanishes or the whole form does."""
-    return _reduce_map(F.coeffs, p, "cubic form")
+    out = _residues(F.coeffs, p)
+    if not out:
+        raise BadPrimeError(f"cubic form vanishes mod {p}")
+    return out
+
+
+def _dp4_grams_mod_p(V, p: int) -> tuple:
+    """The Gram matrices num * den^-1 mod p of both quadrics, row-major
+    (odd p); bad when a denominator or a quadric vanishes, or the reduced
+    pencil degenerates (as num and den are coprime, p meets den exactly
+    when it meets the polynomial coefficients' denominator)."""
+    if p == 2:
+        raise BadPrimeError("Gram matrices need odd characteristic")
+    grams = []
+    for q in (V.Q0, V.Q1):
+        if q.den % p == 0:
+            raise BadPrimeError(f"denominator divisible by {p}")
+        g = _reduce(q.num, q.den, p)
+        if not any(g):
+            raise BadPrimeError(f"quadric vanishes mod {p}")
+        grams.append(g)
+    g0, g1 = grams
+    k = next(i for i, v in enumerate(g0) if v)
+    if all((g1[k] * a - g0[k] * b) % p == 0 for a, b in zip(g0, g1)):
+        raise BadPrimeError(f"pencil degenerates mod {p}")
+    return g0, g1
 
 
 def reduce_dp4_mod_p(V, p: int):
-    """Both quadrics as coefficient maps mod p (odd p); bad when a
-    denominator or a quadric vanishes, or the reduced pencil degenerates."""
-    if p == 2:
-        raise BadPrimeError("Gram matrices need odd characteristic")
+    """Both quadrics as coefficient maps mod p (odd p), read off the
+    residues of _dp4_grams_mod_p, which flags p as bad."""
     n = V.Q0.n
-    exps = [tuple((k == i) + (k == j) for k in range(n))
-            for i in range(n) for j in range(i, n)]
-    c0, c1 = (_reduce_map(dict(zip(exps, q.upper_coeffs())), p, "quadric")
-              for q in (V.Q0, V.Q1))
-    e, a = next(iter(c0.items()))
-    ratio = c1.get(e, 0) * pow(a, p - 2, p) % p
-    if all((ratio * c0.get(k, 0) - c1.get(k, 0)) % p == 0 for k in c0 | c1):
-        raise BadPrimeError(f"pencil degenerates mod {p}")
-    return c0, c1
+    upper = [(i, j, tuple((k == i) + (k == j) for k in range(n)))
+             for i in range(n) for j in range(i, n)]
+    out = []
+    for g in _dp4_grams_mod_p(V, p):
+        coeffs = {e: (1 + (i != j)) * g[i * n + j] % p for i, j, e in upper}
+        out.append({e: c for e, c in coeffs.items() if c})
+    return tuple(out)
 
 
 def _charts(n: int, p: int):
@@ -231,28 +243,21 @@ def _rank_and_discriminant(g, q: int) -> tuple:
 def count_points_dp4(V, p: int, budget: int = DEFAULT_BUDGET) -> int:
     """#V(F_p) for the quadric intersection, from its pencil (odd p).
 
-    With G0, G1 the Gram matrices of the reduced pair (reduce_dp4_mod_p,
-    so a bad prime raises as there), Weil's Gauss sums count the affine
-    zeros as N = p^3 + (p - 1)/p^2 * T, where T sums, over the p + 1
-    members a*G0 + b*G1 of even rank r, eta((-1)^(r/2) D) p^(5 - r/2),
-    with D the discriminant of the member's nondegenerate part and eta
-    the quadratic character; members of odd rank cancel.  The count is
-    (N - 1)/(p - 1), from p + 1 symmetric eliminations of 5 x 5 matrices.
+    With G0, G1 the Gram residues of the pair (_dp4_grams_mod_p, so a bad
+    prime raises as there), Weil's Gauss sums count the affine zeros as
+    N = p^3 + (p - 1)/p^2 * T, where T sums, over the p + 1 members
+    a*G0 + b*G1 of even rank r, eta((-1)^(r/2) D) p^(5 - r/2), with D the
+    discriminant of the member's nondegenerate part and eta the quadratic
+    character; members of odd rank cancel.  The count is (N - 1)/(p - 1),
+    from p + 1 symmetric eliminations of 5 x 5 matrices.
     The budget still admits p exactly when 30 units per point of
     P^4(F_p) fit in it, the rule of the enumeration this count replaced,
     so the default budget admits p <= 41."""
     total_pts = p ** 4 + p ** 3 + p ** 2 + p + 1
     if total_pts * 30 > budget:
         raise BudgetExceededError(f"P^4(F_{p}) enumeration exceeds budget")
-    half = (p + 1) // 2
-    grams = []
-    for coeffs in reduce_dp4_mod_p(V, p):
-        g = [[0] * 5 for _ in range(5)]
-        for e, c in coeffs.items():
-            i, j = (k for k in range(5) for _ in range(e[k]))
-            g[i][j] = g[j][i] = c if i == j else c * half % p
-        grams.append(g)
-    g0, g1 = grams
+    g0, g1 = ([g[5 * i:5 * i + 5] for i in range(5)]
+              for g in _dp4_grams_mod_p(V, p))
     # (1 : 0), then (t : 1) for every t
     members = [g0] + [[[(t * a + b) % p for a, b in zip(r0, r1)]
                        for r0, r1 in zip(g0, g1)] for t in range(p)]
@@ -260,7 +265,7 @@ def count_points_dp4(V, p: int, budget: int = DEFAULT_BUDGET) -> int:
     for g in members:
         r, disc = _rank_and_discriminant(g, p)
         if r % 2 == 0:
-            eta = 1 if pow((-1) ** (r // 2) * disc, half - 1, p) == 1 else -1
+            eta = 1 if pow((-1) ** (r // 2) * disc, (p - 1) // 2, p) == 1 else -1
             total += eta * p ** (5 - r // 2)
     return (p ** 3 - 1 + (p - 1) * total // p ** 2) // (p - 1)
 

@@ -53,6 +53,15 @@ def over_common_denominator(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def lowest_terms(num, den: int) -> tuple:
+    """(numerators, denominator): the integers num over den != 0 divided
+    by gcd(*num, den), the denominator made positive."""
+    g = gcd(*num, den) if den > 0 else -gcd(*num, den)
+    if g == 1:
+        return tuple(num), den
+    return tuple(v // g for v in num), den // g
+
+
 def primitive_part(values) -> tuple:
     """(content, ints) with values == content * ints: ints are coprime
     integers whose first nonzero entry is positive, content a Fraction.

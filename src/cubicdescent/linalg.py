@@ -3,36 +3,48 @@ primes of every leading column block of a batch of residue matrices, one
 prime p < 2^31 each, in one numpy elimination (column_ranks_mod_p; one
 matrix is a batch of one).
 
-Matrices are immutable with Fraction entries.  Elimination runs
-fraction-free (Bareiss) on integer-rescaled rows, so intermediate values
-stay integral and are bounded by minors of the input.  Pivoting is
-deterministic: for every column we take the first usable row in top-down
-scan order, which makes all derived canonical choices reproducible.
+A Matrix is immutable: row-major integer numerators over one positive
+denominator, in lowest terms.  Elimination runs fraction-free (Bareiss)
+on the numerator rows, so intermediate values stay integral and are
+bounded by minors of the input; one integer back-substitution solves it.
+Pivoting is deterministic: for every column we take the first usable row
+in top-down scan order, which makes all derived canonical choices
+reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .errors import NonSquareMatrixError, SingularMatrixError
-from .intfactor import as_fraction, over_common_denominator, primitive_part
-from .unipoly import UniPoly
+from .intfactor import (as_fraction, lowest_terms, over_common_denominator,
+                        primitive_part)
+from .unipoly import UniPoly, _newton_charpoly
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense rational matrix: row-major integer numerators num
+    over one positive denominator den, gcd(*num, den) = 1."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(as_fraction(x) for x in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self._e = entries
+        num, self.den = over_common_denominator(entries)
+        if len(num) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(num)}")
+        self.rows, self.cols, self.num = rows, cols, tuple(num)
+
+    @classmethod
+    def _from_num(cls, rows: int, cols: int, num, den: int = 1) -> "Matrix":
+        """The matrix with the row-major integer numerators num over den
+        != 0, reduced to lowest terms."""
+        m = cls.__new__(cls)
+        m.rows, m.cols = rows, cols
+        m.num, m.den = lowest_terms(num, den)
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -45,84 +57,91 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._from_num(rows, cols, [0] * (rows * cols))
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
-        values = list(values)
+        values, den = over_common_denominator(values)
         n = len(values)
-        return cls(n, n, [as_fraction(values[i]) if i == j else Fraction(0)
-                          for i in range(n) for j in range(n)])
+        return cls._from_num(n, n, [values[i] if i == j else 0
+                                    for i in range(n) for j in range(n)], den)
+
+    def _int_rows(self) -> list:
+        """The numerator rows, as fresh lists."""
+        c = self.cols
+        return [list(self.num[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._e[i * self.cols + j]
+        return Fraction(self.num[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self._e[i * self.cols:(i + 1) * self.cols]
+        return tuple(Fraction(v, self.den)
+                     for v in self.num[i * self.cols:(i + 1) * self.cols])
 
     def column(self, j: int) -> tuple:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+        return tuple(Fraction(v, self.den) for v in self.num[j::self.cols])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self._e[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._from_num(self.cols, self.rows,
+                                [v for j in range(self.cols)
+                                 for v in self.num[j::self.cols]], self.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self._e, other._e)])
+        d, e = self.den, other.den
+        return Matrix._from_num(self.rows, self.cols,
+                                [a * e + b * d for a, b in zip(self.num, other.num)],
+                                d * e)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
+        return Matrix._from_num(self.rows, self.cols, [-a for a in self.num],
+                                self.den)
 
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self._e])
+        return Matrix._from_num(self.rows, self.cols,
+                                [c.numerator * a for a in self.num],
+                                c.denominator * self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other._e[k * other.cols + j]
-                               for k in range(self.cols)))
-        return Matrix(self.rows, other.cols, out)
+        cols = [other.num[j::other.cols] for j in range(other.cols)]
+        return Matrix._from_num(self.rows, other.cols,
+                                [sum(map(mul, r, c)) for r in self._int_rows()
+                                 for c in cols], self.den * other.den)
 
     def mul_vec(self, v) -> tuple:
-        v = [as_fraction(x) for x in v]
+        v, e = over_common_denominator(v)
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(Fraction(sum(map(mul, r, v)), self.den * e)
+                     for r in self._int_rows())
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise NonSquareMatrixError("trace of non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(self.num[::self.cols + 1]), self.den)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i]
-            for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.rows == self.cols and self.transpose() == self
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self._e == other._e)
+                and self.cols == other.cols and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i))
@@ -172,24 +191,6 @@ def _bareiss_echelon(rows):
     return pivots, sign
 
 
-def _integer_rows(m: Matrix):
-    """(rows, scale): each row of m rescaled to integers, and the product
-    of the multipliers."""
-    rows, scale = [], 1
-    for i in range(m.rows):
-        ints, d = over_common_denominator(m.row(i))
-        rows.append(ints)
-        scale *= d
-    return rows, scale
-
-
-def _echelon(m: Matrix):
-    """(rows, pivots, sign, scale): the Bareiss echelon form of
-    _integer_rows(m), its pivot positions and the sign of its swaps."""
-    rows, scale = _integer_rows(m)
-    return (rows, *_bareiss_echelon(rows), scale)
-
-
 def _int_det(rows) -> int:
     """Determinant of a square integer matrix; eliminates in rows."""
     n = len(rows)
@@ -208,13 +209,12 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
         raise NonSquareMatrixError("determinant of non-square matrix")
-    rows, scale = _integer_rows(m)
-    return Fraction(_int_det(rows), scale)
+    return Fraction(_int_det(m._int_rows()), m.den ** m.rows)
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
-    return _int_rank(_integer_rows(m)[0])
+    return _int_rank(m._int_rows())
 
 
 def column_ranks_mod_p(mats, moduli):
@@ -263,39 +263,40 @@ def column_ranks_mod_p(mats, moduli):
     return ranks
 
 
-def charpoly(m: Matrix):
-    """Monic characteristic polynomial det(T*I - m), exact.
-
-    Faddeev-LeVerrier recursion; divisions by 1..n are exact over Q.
-    """
+def charpoly(m: Matrix) -> UniPoly:
+    """Monic characteristic polynomial det(T*I - m), exact: Newton's
+    identities on the integer traces Tr(N^k), k <= n, of the numerators
+    N = den * m, whose eigenvalues are den times those of m."""
     if m.rows != m.cols:
         raise NonSquareMatrixError("charpoly of non-square matrix")
     n = m.rows
-    coeffs = [Fraction(1)]          # leading coefficient of T^n
-    mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        am = m @ mk
-        ck = -am.trace() / k
-        coeffs.append(ck)
-        if k < n:
-            mk = am + Matrix.identity(n).scale(ck)
-    return UniPoly(list(reversed(coeffs)))
+    cols = [m.num[j::n] for j in range(n)]
+    power, traces = m._int_rows(), []
+    for k in range(n):
+        if k:
+            power = [[sum(map(mul, r, c)) for c in cols] for r in power]
+        traces.append(sum(power[i][i] for i in range(n)))
+    return _newton_charpoly(traces, m.den)
 
 
-def _back_substitute(rows, pivots, x: list, rhs: int | None = None) -> list:
-    """Solve the echelon rows for their pivot unknowns, from the last pivot
-    up, in place: x holds the values of the free unknowns (its pivot
-    entries are overwritten), and row i has the right-hand side
-    rows[i][rhs], or 0 when rhs is None."""
+def _back_substitute(rows, pivots, x: list, rhs: int | None = None) -> tuple:
+    """(y, d): y = d * x for the solution x of the Bareiss echelon rows
+    (with the right-hand side rows[i][rhs], or 0 when rhs is None) whose
+    free unknowns take the integer values in x (its pivot entries are
+    ignored), and d the last pivot (1 with no pivot).  d is, up to sign,
+    the minor of the pivot rows and columns, so d * x is integral by
+    Cramer's rule and every division below is exact."""
+    d = rows[pivots[-1][0]][pivots[-1][1]] if pivots else 1
+    y = [d * v for v in x]
     n = len(x)
     for (pr, pc) in reversed(pivots):
         row = rows[pr]
-        s = Fraction(row[rhs]) if rhs is not None else Fraction(0)
+        s = d * row[rhs] if rhs is not None else 0
         for j in range(pc + 1, n):
-            if row[j] and x[j]:
-                s -= row[j] * x[j]
-        x[pc] = s / row[pc]
-    return x
+            if row[j] and y[j]:
+                s -= row[j] * y[j]
+        y[pc] = s // row[pc]
+    return y, d
 
 
 def solve_linear(m: Matrix, rhs) -> list | None:
@@ -303,17 +304,19 @@ def solve_linear(m: Matrix, rhs) -> list | None:
 
     Underdetermined systems get the canonical solution with all free
     variables (non-pivot columns under deterministic elimination) set to 0.
+    With m = N / den and rhs = R / e, it eliminates [N | den * R] and
+    divides the integer solution by e once.
     """
-    rhs = [as_fraction(x) for x in rhs]
-    if len(rhs) != m.rows:
+    r, e = over_common_denominator(rhs)
+    if len(r) != m.rows:
         raise ValueError("rhs length mismatch")
-    rows, pivots, _, _ = _echelon(
-        Matrix(m.rows, m.cols + 1,
-               [x for i in range(m.rows) for x in (*m.row(i), rhs[i])]))
+    rows = [row + [m.den * v] for row, v in zip(m._int_rows(), r)]
+    pivots, _ = _bareiss_echelon(rows)
     # A pivot in the rhs column means inconsistency.
     if pivots and pivots[-1][1] == m.cols:
         return None
-    return _back_substitute(rows, pivots, [Fraction(0)] * m.cols, m.cols)
+    y, d = _back_substitute(rows, pivots, [0] * m.cols, m.cols)
+    return [Fraction(v, d * e) for v in y]
 
 
 def nullspace(m: Matrix) -> list:
@@ -324,30 +327,33 @@ def nullspace(m: Matrix) -> list:
     normalized (first nonzero entry positive).  It depends on the row
     space of m alone.
     """
-    rows, pivots, _, _ = _echelon(m)
+    rows = m._int_rows()
+    pivots, _ = _bareiss_echelon(rows)
     pivot_cols = {pc for (_, pc) in pivots}
     basis = []
     for fc in range(m.cols):
         if fc in pivot_cols:
             continue
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        basis.append(tuple(primitive_part(_back_substitute(rows, pivots, v))[1]))
+        v = [0] * m.cols
+        v[fc] = 1
+        y, _ = _back_substitute(rows, pivots, v)
+        basis.append(tuple(primitive_part(y)[1]))
     return basis
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse, by one elimination of [m | I]; raises
-    SingularMatrixError when det = 0."""
+    """Exact inverse, by one elimination of [N | I] for m = N / den
+    (m^-1 = den * N^-1); raises SingularMatrixError when det = 0."""
     if m.rows != m.cols:
         raise NonSquareMatrixError("inverse of non-square matrix")
     n = m.rows
-    rows, pivots, _, _ = _echelon(
-        Matrix(n, 2 * n, [x for i in range(n)
-                          for x in (*m.row(i), *(int(i == j) for j in range(n)))]))
-    # [m | I] has rank n; m is singular when a pivot falls in the I block
+    rows = [r + [int(i == j) for j in range(n)]
+            for i, r in enumerate(m._int_rows())]
+    pivots, _ = _bareiss_echelon(rows)
+    # [N | I] has rank n; m is singular when a pivot falls in the I block
     if n and pivots[-1][1] >= n:
         raise SingularMatrixError("matrix is singular")
-    cols = [_back_substitute(rows, pivots, [Fraction(0)] * n, n + j)
-            for j in range(n)]
-    return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    cols = [_back_substitute(rows, pivots, [0] * n, n + j) for j in range(n)]
+    d = cols[0][1] if n else 1
+    return Matrix._from_num(n, n, [m.den * cols[j][0][i] for i in range(n)
+                                   for j in range(n)], d)

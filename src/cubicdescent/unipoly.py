@@ -14,7 +14,8 @@ from itertools import zip_longest
 from math import gcd, prod
 
 from .errors import ZeroPolynomialError
-from .intfactor import as_fraction, over_common_denominator
+from .intfactor import (as_fraction, lowest_terms, over_common_denominator,
+                        primitive_part)
 
 
 def _pseudo_divmod(a, b) -> tuple:
@@ -78,11 +79,7 @@ class UniPoly:
         """Store num / den (the list is consumed), trimmed and reduced."""
         while num and num[-1] == 0:
             num.pop()
-        g = gcd(*num, den)
-        if den < 0:
-            g = -g
-        self.num = tuple(v // g for v in num)
-        self.den = den // g
+        self.num, self.den = lowest_terms(num, den)
         self._coeffs = self._disc = None
 
     @classmethod
@@ -305,12 +302,8 @@ class UniPoly:
         """(content, primitive part): self = content * primitive, content a
         Fraction, the primitive part with coprime integer coefficients and
         a positive leading one."""
-        if not self.num:
-            return Fraction(0), self
-        g = gcd(*self.num)
-        if self.num[-1] < 0:
-            g = -g
-        return Fraction(g, self.den), UniPoly._from_num([v // g for v in self.num])
+        content, ints = primitive_part(self.num[::-1])
+        return content / self.den, UniPoly._from_num(ints[::-1])
 
     def int_coeffs(self) -> list:
         if self.den != 1:
@@ -354,3 +347,19 @@ class UniPoly:
             else:
                 parts.append(f"{c}*T^{k}" if c != 1 else f"T^{k}")
         return "UniPoly(" + " + ".join(parts).replace("+ -", "- ") + ")"
+
+
+def _newton_charpoly(power_sums, scale: int) -> UniPoly:
+    """The monic polynomial with the roots z_i / scale, for n algebraic
+    integers z_i with the power sums power_sums[k - 1] = sum_i z_i^k:
+    Newton's identities in integers (each division by k exact), then
+    each coefficient of T^(n-k) divided by scale^k."""
+    n = len(power_sums)
+    c = [1]                              # c[k]: (-1)^k e_k
+    for k in range(1, n + 1):
+        acc = power_sums[k - 1]
+        for j in range(1, k):
+            acc += c[j] * power_sums[k - j - 1]
+        c.append(-acc // k)
+    return UniPoly._from_num([ck * scale ** (n - k)
+                              for k, ck in enumerate(c)][::-1], scale ** n)

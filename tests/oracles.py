@@ -4,16 +4,21 @@ FractionPoly is the univariate polynomial over Q with one Fraction per
 coefficient and Euclid's algorithm over Q, which the integer UniPoly
 replaced.  norm_form is the pencil's norm form by six rational
 resultants, which checks the pencil determinant.  trace_gram is the
-trace form as a Fraction Matrix, and split_idempotents and
-from_split_values build elements of a split algebra from their values
-at the roots."""
+trace form as a Matrix, and split_idempotents and from_split_values
+build elements of a split algebra from their values at the roots.
+
+The fraction_* kernels are the linear algebra Matrix ran on when it held
+one Fraction per entry: Gaussian elimination over Q with linalg's pivot
+rule and a Fraction back-substitution, Faddeev-LeVerrier for the
+characteristic polynomial, and the inertia of a symmetric matrix by a
+congruence diagonalisation.  They take lists of rows of rationals."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
 
-from cubicdescent.descent import _trace_gram_num
+from cubicdescent.descent import _trace_form
 from cubicdescent.errors import NotEtaleError, ZeroPolynomialError
 from cubicdescent.etale import DEGREE
 from cubicdescent.forms import BinaryQuintic
@@ -326,10 +331,9 @@ def norm_form(algebra, a, b) -> BinaryQuintic:
 
 
 def trace_gram(weight, l) -> Matrix:
-    """Matrix of trace(weight * c_j * c_k), from _trace_gram_num."""
-    num, den = _trace_gram_num(weight, l)
-    n = len(l)
-    return Matrix(n, n, [Fraction(v, den) for v in num])
+    """Matrix of trace(weight * c_j * c_k), from _trace_form."""
+    basis = Matrix.from_rows(zip(*(cj.coords() for cj in l)))
+    return _trace_form(weight, basis).gram
 
 
 def split_idempotents(algebra, roots) -> list:
@@ -349,3 +353,130 @@ def from_split_values(algebra, roots, values):
     if UniPoly.from_roots(roots) != algebra.p:
         raise ValueError("roots do not match the defining polynomial")
     return algebra.element(UniPoly.interpolate(roots, values))
+
+
+def fraction_echelon(rows):
+    """(echelon, pivots, sign) of Gaussian elimination over Q on a copy of
+    rows: for each column the first row at or below the current one with a
+    nonzero entry is the pivot, swapped up (sign counts the swaps), and
+    the rows below it are cleared."""
+    rows = [[as_fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots, sign, pr = [], 1, 0
+    for pc in range(ncols):
+        hit = next((i for i in range(pr, len(rows)) if rows[i][pc]), None)
+        if hit is None:
+            continue
+        if hit != pr:
+            rows[pr], rows[hit] = rows[hit], rows[pr]
+            sign = -sign
+        for i in range(pr + 1, len(rows)):
+            f = rows[i][pc] / rows[pr][pc]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append((pr, pc))
+        pr += 1
+    return rows, pivots, sign
+
+
+def fraction_back_substitute(rows, pivots, x: list, rhs=None) -> list:
+    """Solve the echelon rows for their pivot unknowns, from the last pivot
+    up, in place: x holds the values of the free unknowns, and row i has
+    the right-hand side rows[i][rhs], or 0 when rhs is None."""
+    for (pr, pc) in reversed(pivots):
+        row = rows[pr]
+        s = row[rhs] if rhs is not None else Fraction(0)
+        for j in range(pc + 1, len(x)):
+            s -= row[j] * x[j]
+        x[pc] = s / row[pc]
+    return x
+
+
+def fraction_det(rows) -> Fraction:
+    echelon, pivots, sign = fraction_echelon(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return sign * prod((echelon[i][i] for i in range(len(rows))), start=Fraction(1))
+
+
+def fraction_solve(rows, rhs, ncols: int):
+    """One solution of rows * x = rhs with the free unknowns 0, or None."""
+    echelon, pivots, _ = fraction_echelon(
+        [list(r) + [v] for r, v in zip(rows, rhs)])
+    if pivots and pivots[-1][1] == ncols:
+        return None
+    return fraction_back_substitute(echelon, pivots, [Fraction(0)] * ncols,
+                                    ncols)
+
+
+def fraction_nullspace(rows, ncols: int) -> list:
+    """The kernel basis with one free unknown 1 and the others 0 each,
+    as primitive integer vectors."""
+    echelon, pivots, _ = fraction_echelon(rows)
+    pivot_cols = {pc for _, pc in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivot_cols:
+            x = [Fraction(int(j == fc)) for j in range(ncols)]
+            basis.append(tuple(primitive_part(
+                fraction_back_substitute(echelon, pivots, x))[1]))
+    return basis
+
+
+def fraction_inverse(rows):
+    """The inverse as a list of rows, by n Fraction solves, or None when
+    the matrix is singular."""
+    n = len(rows)
+    if fraction_det(rows) == 0:
+        return None
+    cols = [fraction_solve(rows, [int(i == j) for i in range(n)], n)
+            for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def faddeev_leverrier(rows) -> UniPoly:
+    """Monic det(T*I - m) by the Faddeev-LeVerrier recursion over Q:
+    M_1 = I, c_k = -tr(m M_k) / k, M_(k+1) = m M_k + c_k I."""
+    n = len(rows)
+    m = [[as_fraction(x) for x in r] for r in rows]
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum((m[i][t] * mk[t][j] for t in range(n)), Fraction(0))
+               for j in range(n)] for i in range(n)]
+        ck = -sum((am[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs.append(ck)
+        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)]
+              for i in range(n)]
+    return UniPoly(coeffs[::-1])
+
+
+def congruence_signature(rows) -> tuple:
+    """(positives, negatives, zeros) of a symmetric rational matrix by a
+    congruence diagonalisation over Q: a nonzero diagonal entry is a
+    pivot; when every live diagonal entry is 0 but g_ij is not,
+    x_i <- x_i + x_j puts 2 g_ij on the diagonal."""
+    g = [[as_fraction(x) for x in r] for r in rows]
+    live = list(range(len(g)))
+    pivots = []
+    while live:
+        k = next((i for i in live if g[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live
+                         if i < j and g[i][j]), None)
+            if pair is None:
+                break
+            k, j = pair
+            for m in live:
+                g[k][m] += g[j][m]
+            for m in live:
+                g[m][k] += g[m][j]
+        live.remove(k)
+        pivots.append(g[k][k])
+        for i in live:
+            f = g[i][k] / g[k][k]
+            g[i] = [a - f * b for a, b in zip(g[i], g[k])]
+        for i in live:
+            g[i][k] = Fraction(0)
+    pos = sum(1 for v in pivots if v > 0)
+    return pos, len(pivots) - pos, len(g) - len(pivots)

@@ -44,8 +44,7 @@ def test_build_quadrics_rationality(paper_p):
     v, _ = run_strategy(paper_p)
     for q in (v.Q0, v.Q1):
         assert q.gram.is_symmetric()
-        for x in q.gram._e:
-            assert Fraction(x).denominator == 1
+        assert q.gram.den == 1
 
 
 def test_build_quadrics_degenerate_aeqb():
@@ -190,6 +189,46 @@ def test_dependent_forms_rejected(paper_p):
     from cubicdescent.errors import DependentFormsError
 
     assert isinstance(exc.value, DependentFormsError)
+
+
+DEPENDENT_MESSAGE = ("conjugate linear forms are dependent "
+                     "(trace form degenerate)")
+
+
+def _rational_forms(rng, A):
+    return [A.element([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+                       for _ in range(5)]) for _ in range(5)]
+
+
+@pytest.mark.parametrize("case", ["sum", "zero", "rational"])
+def test_dependent_forms_raise_with_one_message(paper_p, case):
+    # c4 = c0 + c1, a zero c_j, and c4 = c0 / 3 - 2 c2 / 5 on forms with
+    # rational coordinates all raise the same error
+    A = EtaleAlgebra(paper_p)
+    a, b = strategy_ab(A, A.r)
+    l = _rational_forms(random.Random(7), A)
+    if case == "sum":
+        l[4] = l[0] + l[1]
+    elif case == "zero":
+        l[2] = A.zero()
+    else:
+        l[4] = l[0] * Fraction(1, 3) - l[2] * Fraction(2, 5)
+    with pytest.raises(DependentFormsError) as exc:
+        DescentInput(A, a, b, tuple(l))
+    assert str(exc.value) == DEPENDENT_MESSAGE
+
+
+def test_dependence_check_agrees_with_trace_form():
+    # the forms are independent exactly when the trace Gram matrix of
+    # weight 1 is nonsingular; seeded independent inputs do not raise
+    rng = random.Random(2400)
+    for _ in range(12):
+        p = random_squarefree_quintic(rng, bound=6)
+        A = EtaleAlgebra(p)
+        a, b = strategy_ab(A, A.r)
+        l = tuple(_rational_forms(rng, A))
+        assert det(trace_gram(A.one(), l)) != 0
+        DescentInput(A, a, b, l)
 
 
 def test_splitting_norm_is_the_norm_of_the_splitting_element():

@@ -86,7 +86,7 @@ def test_point_move_is_unimodular_with_last_column_p():
         c = _unimodular_point_move(p)
         assert c.column(4) == p.coords
         assert abs(det(c)) == 1
-        assert all(x.denominator == 1 for x in c._e)
+        assert c.den == 1
 
 
 def test_roundtrip_random():

@@ -13,7 +13,8 @@ import pytest
 from cubicdescent.errors import BadPrimeError, PreconditionError
 from cubicdescent.forms import CubicForm4, ProjPoint, p1_normalize
 from cubicdescent.frobenius import _residues
-from cubicdescent.intfactor import over_common_denominator, primitive_part
+from cubicdescent.intfactor import (lowest_terms, over_common_denominator,
+                                    primitive_part)
 from cubicdescent.unipoly import UniPoly
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubicdescent"
@@ -148,3 +149,90 @@ def test_only_intfactor_clears_denominators():
     # needs an lcm of denominators calls over_common_denominator or
     # primitive_part instead
     assert _lcm_importers() == ["intfactor"]
+
+
+def _lowest_terms_sites():
+    """Modules of the package with a call gcd(*vector, other): the gcd of
+    numerators and a denominator, the reduction to lowest terms.  A call
+    gcd(*vector) alone is a content and does not count."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "gcd" and len(node.args) > 1 \
+                    and any(isinstance(a, ast.Starred) for a in node.args):
+                out.append(path.stem)
+    return sorted(set(out))
+
+
+def test_only_intfactor_reduces_to_lowest_terms():
+    # numerators over a denominator are reduced by intfactor.lowest_terms
+    assert _lowest_terms_sites() == ["intfactor"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lowest_terms(seed):
+    rng = random.Random(seed)
+    for size in (0, 1, 3, 6):
+        g = rng.choice((1, 2, 6, 10 ** 9 + 7))
+        num = [g * rng.randint(-10 ** 12, 10 ** 12) for _ in range(size)]
+        den = g * rng.choice((1, -1)) * rng.randint(1, 10 ** 9)
+        out, d = lowest_terms(num, den)
+        assert isinstance(out, tuple) and d > 0
+        assert gcd(*out, d) == 1
+        assert [Fraction(v, d) for v in out] == [Fraction(v, den) for v in num]
+    assert lowest_terms([0, 0], -4) == ((0, 0), 1)
+    assert lowest_terms([], -3) == ((), 1)
+
+
+def _dp4_residue_oracle(V, p):
+    """The coefficient maps of both quadrics mod p, each polynomial
+    coefficient reduced on its own, with the checks in their order: odd
+    p, a denominator, a vanishing quadric, a proportional pencil."""
+    if p == 2:
+        raise BadPrimeError("Gram matrices need odd characteristic")
+    exps = [tuple((k == i) + (k == j) for k in range(5))
+            for i in range(5) for j in range(i, 5)]
+    maps = []
+    for q in (V.Q0, V.Q1):
+        m = _residue_oracle(dict(zip(exps, q.upper_coeffs())), p)
+        if not m:
+            raise BadPrimeError(f"quadric vanishes mod {p}")
+        maps.append(m)
+    c0, c1 = maps
+    if any(all((t * c0.get(e, 0) - c1.get(e, 0)) % p == 0 for e in exps)
+           for t in range(p)):
+        raise BadPrimeError(f"pencil degenerates mod {p}")
+    return tuple(maps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduce_dp4_against_per_coefficient_oracle(seed):
+    from cubicdescent.descent import DP4Surface
+    from cubicdescent.forms import QuadForm
+    from cubicdescent.frobenius import reduce_dp4_mod_p
+
+    rng = random.Random(seed)
+
+    def form(scale=1):
+        return {(i, j): scale * Fraction(rng.randint(-6, 6),
+                                         rng.choice((1, 1, 2, 3, 5, 9, 25)))
+                for i in range(5) for j in range(i, 5)}
+
+    for p in (2, 3, 5, 7, 11):
+        q0 = form()
+        for q1 in (form(), form(p),     # a quadric vanishing mod p
+                   {e: 3 * c + p * rng.randint(-2, 2) for e, c in q0.items()}):
+            try:
+                V = DP4Surface(QuadForm.from_poly_coeffs(5, q0),
+                               QuadForm.from_poly_coeffs(5, q1))
+            except PreconditionError:
+                continue
+            try:
+                expected = _dp4_residue_oracle(V, p)
+            except BadPrimeError as exc:
+                with pytest.raises(BadPrimeError, match=f"^{exc}$"):
+                    reduce_dp4_mod_p(V, p)
+            else:
+                assert reduce_dp4_mod_p(V, p) == expected

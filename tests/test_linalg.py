@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -198,3 +199,146 @@ def test_inverse_matches_column_solves():
         with pytest.raises(SingularMatrixError):
             inverse(Matrix.from_rows(rows))
     assert inverse(Matrix(0, 0, [])) == Matrix(0, 0, [])
+
+
+# -- the integer Matrix against the Fraction kernels it replaced ----------
+
+SHAPES = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6),
+          (2, 5), (1, 4), (3, 6), (5, 2), (4, 1), (6, 3), (0, 3), (3, 0)]
+
+
+def _entries(rng, n, m, kind):
+    """n * m row-major rationals: small, big (10^12 / 10^9), sparse, or
+    of rank below min(n, m) (a product through fewer dimensions)."""
+    if kind == "big":
+        return [Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                         rng.randint(1, 10 ** 9)) for _ in range(n * m)]
+    if kind == "sparse":
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                if rng.random() < 0.3 else 0 for _ in range(n * m)]
+    if kind == "singular" and min(n, m) > 1:
+        k = rng.randint(0, min(n, m) - 1)
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(m)] for _ in range(k)]
+        return [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                for i in range(n) for j in range(m)]
+    return [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+            for _ in range(n * m)]
+
+
+def _rows(entries, n, m):
+    return [entries[i * m:(i + 1) * m] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["small", "big", "sparse", "singular"])
+@pytest.mark.parametrize("seed", range(3))
+def test_elimination_matches_fraction_oracles(kind, seed):
+    from oracles import (faddeev_leverrier, fraction_det, fraction_echelon,
+                         fraction_inverse, fraction_nullspace, fraction_solve)
+
+    rng = random.Random(1000 * seed + len(kind))
+    for n, m in SHAPES:
+        entries = _entries(rng, n, m, kind)
+        rows = _rows(entries, n, m)
+        a = Matrix(n, m, entries)
+        assert rank(a) == len(fraction_echelon(rows)[1])
+        assert nullspace(a) == fraction_nullspace(rows, m)
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)]
+        for rhs in (list(a.mul_vec(x)),
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                     for _ in range(n)]):
+            assert solve_linear(a, rhs) == fraction_solve(rows, rhs, m)
+        if n != m:
+            for fn in (det, charpoly, inverse):
+                with pytest.raises(NonSquareMatrixError):
+                    fn(a)
+            continue
+        assert det(a) == fraction_det(rows)
+        assert charpoly(a) == faddeev_leverrier(rows)
+        expected = fraction_inverse(rows)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                inverse(a)
+        else:
+            assert inverse(a) == Matrix.from_rows(expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_operations_match_fraction_lists(seed):
+    rng = random.Random(seed)
+    for kind in ("small", "big", "sparse"):
+        for n, m in SHAPES:
+            ea, eb = _entries(rng, n, m, kind), _entries(rng, n, m, kind)
+            a, b = Matrix(n, m, ea), Matrix(n, m, eb)
+            if n:
+                assert Matrix.from_rows(_rows(eb, n, m)) == b
+            assert (a.rows, a.cols) == (n, m)
+            assert a.den > 0 and gcd(a.den, *a.num) == 1
+            assert [a[i, j] for i in range(n) for j in range(m)] == ea
+            assert all(isinstance(a[i, j], Fraction)
+                       for i in range(n) for j in range(m))
+            assert [a.row(i) for i in range(n)] == [
+                tuple(r) for r in _rows(ea, n, m)]
+            assert [a.column(j) for j in range(m)] == [
+                tuple(ea[i * m + j] for i in range(n)) for j in range(m)]
+            assert a + b == Matrix(n, m, [x + y for x, y in zip(ea, eb)])
+            assert a - b == Matrix(n, m, [x - y for x, y in zip(ea, eb)])
+            assert -a == Matrix(n, m, [-x for x in ea])
+            c = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+            assert a.scale(c) == Matrix(n, m, [c * x for x in ea])
+            t = a.transpose()
+            assert t == Matrix(m, n, [ea[i * m + j] for j in range(m)
+                                      for i in range(n)])
+            assert t.transpose() == a
+            k = rng.randint(0, 3)
+            ec = _entries(rng, m, k, kind)
+            prod_ = [sum((ea[i * m + t] * ec[t * k + j] for t in range(m)),
+                         Fraction(0)) for i in range(n) for j in range(k)]
+            assert a @ Matrix(m, k, ec) == Matrix(n, k, prod_)
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(m)]
+            assert a.mul_vec(v) == tuple(
+                sum((ea[i * m + j] * v[j] for j in range(m)), Fraction(0))
+                for i in range(n))
+            same = Matrix(n, m, [Fraction(x) for x in ea])
+            assert a == same and hash(a) == hash(same)
+            if n == m:
+                assert a.trace() == sum((ea[i * m + i] for i in range(n)),
+                                        Fraction(0))
+                assert a.is_symmetric() == all(
+                    ea[i * m + j] == ea[j * m + i]
+                    for i in range(n) for j in range(n))
+                assert (a + t).is_symmetric()
+            else:
+                assert not a.is_symmetric()
+                with pytest.raises(NonSquareMatrixError):
+                    a.trace()
+    with pytest.raises(ValueError):
+        Matrix(2, 2, [1, 2, 3])
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[1, 2], [3]])
+    assert Matrix.identity(3) == Matrix.diagonal([1, 1, 1])
+    assert Matrix.zero(2, 3) == Matrix(2, 3, [Fraction(0)] * 6)
+    assert Matrix.diagonal([Fraction(1, 2), 3]) == Matrix.from_rows(
+        [[Fraction(1, 2), 0], [0, 3]])
+    half = Matrix.from_rows([[Fraction(1, 2), Fraction(3, 4)]])
+    assert (half.num, half.den) == ((2, 3), 4)
+    assert Matrix(1, 2, [2, 6]).scale(Fraction(1, 2)).den == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_signature_matches_congruence_oracle(seed):
+    from cubicdescent.forms import QuadForm, signature
+    from oracles import congruence_signature
+
+    rng = random.Random(seed)
+    for n in (3, 4, 5):
+        for kind in ("small", "big", "sparse", "singular"):
+            e = _entries(rng, n, n, kind)
+            sym = [e[i * n + j] + e[j * n + i] for i in range(n) for j in range(n)]
+            q = QuadForm(Matrix(n, n, sym))
+            assert signature(q) == congruence_signature(_rows(sym, n, n))
+    # the zero-diagonal pairing step of the oracle, and a zero form
+    assert signature(QuadForm(Matrix.from_rows(
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]]))) == (1, 1, 1)
+    assert signature(QuadForm(Matrix.zero(4, 4))) == (0, 0, 4)
