@@ -4,17 +4,17 @@ Height convention: max absolute coordinate of the primitive integer
 representative.  The kernel is a residue sieve with an exact finish.  For
 each prime ell in SIEVE_PRIMES a mask table M[a0, a1, a2, a3] over
 residues mod ell holds, in bit a4, whether (a0, ..., a4) is a common zero
-of both quadrics mod ell.  A table is one lookup, with no loop over x4
-mod ell: each form is fixed + linear*x4 + sq*x4^2, fixed and linear are
-evaluated once over the ell^4 grid in int16 (every sum below
-RESIDUE_BOUND) and reduced mod ell, and the residue pair (fixed, linear)
-indexes a uint16 bitmask of the zeros over x4 mod ell; the two masks are
-ANDed.  Once per call the tables are read at the residues of the searched
-coordinates -H..H and packed into bit rows of 2H + 1 cells (np.packbits,
-zero padding to whole uint64 words): the x3 row of each (a0, a1, a2)
-where M is nonzero, and the x2 row of each (a0, a1) where it is nonzero
-for some a3.  The tables of the five primes are stacked, so each stage
-reads all of them with one np.take of flat residue indices.
+of both quadrics mod ell.  A table is built on a split grid, (a0, a1)
+and (a2, a3) each one ell^2 index, as a lookup in a fold of the zero
+bitmasks over x4 mod ell, with no division on the ell^4 grid
+(_residue_table).  Once per call the tables are read at the residues of
+the searched coordinates -H..H as bit rows of 2H + 1 cells (np.packbits
+order, zero padding to whole uint64 words): the x3 row of each (a0, a1,
+a2) where M is nonzero, and the x2 row of each (a0, a1) where it is
+nonzero for some a3, each set one exact uint64 product of a 0/1 matrix
+with the packed residue classes of the columns (_bit_rows).  The tables
+of the five primes are stacked, so each stage reads all of them with one
+np.take of flat residue indices.
 
 The search runs in array passes over chunks of x0 values (sign-normalized
 at x0 = 0):
@@ -53,9 +53,9 @@ from .intfactor import primitive_part
 
 #: moduli of the residue sieve (see _residue_table)
 SIEVE_PRIMES = (3, 5, 7, 11, 13)
-#: a bound on every int16 sum in a residue table: 15 monomials, each a
-#: coefficient residue times two coordinate residues, all below ell
-RESIDUE_BOUND = 15 * (max(SIEVE_PRIMES) - 1) ** 3
+#: a bound on every int16 value of a residue table build: an index into
+#: the folded zero masks (see _residue_table)
+RESIDUE_BOUND = 6 * max(SIEVE_PRIMES) ** 2
 assert RESIDUE_BOUND <= np.iinfo(np.int16).max
 #: the counts of SearchResult.sieve: triples past stage 1, tuples past
 #: stage 2 and candidates past the x4 sieve
@@ -97,10 +97,7 @@ def _int_quadrics(V: DP4Surface):
 
 
 def _eval_int(cs: dict, x) -> int:
-    total = 0
-    for (i, j), c in cs.items():
-        total += c * x[i] * x[j]
-    return total
+    return sum(c * x[i] * x[j] for (i, j), c in cs.items())
 
 
 def brute_force_search(V: DP4Surface, H: int) -> SearchResult:
@@ -130,61 +127,59 @@ def brute_force_search(V: DP4Surface, H: int) -> SearchResult:
     return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000)
 
 
-def _reduce(x: np.ndarray, ell: int) -> np.ndarray:
-    """x mod ell for a nonnegative integer array.  numpy divides by a
-    scalar in a vectorized loop but has none for the remainder: on 13^4
-    int16 cells x - x // ell * ell takes about 13 us and x % ell 92 us
-    (x86-64, numpy 2.4)."""
-    return x - x // ell * ell
-
-
-def _zero_masks(sq: int, ell: int) -> np.ndarray:
-    """Z[f * ell + l] for (f, l) in F_ell^2: the bitmask over a4 mod ell of
-    the zeros of f + l*a4 + sq*a4^2 mod ell (uint16, since ell <= 16)."""
-    a4 = np.arange(ell, dtype=np.int16)
-    fl = np.arange(ell * ell, dtype=np.int16)[:, None]
-    zero = (fl // ell + fl % ell * a4 + sq * a4 * a4) % ell == 0
-    return (zero.astype(np.uint16) << a4.astype(np.uint16)).sum(
-        axis=1, dtype=np.uint16)
+@functools.cache
+def _ell_tables(ell: int):
+    """_residue_table's tables for ell, built on first use, read-only: the
+    monomials hi^2, hi*lo, lo^2, hi, lo of a pair at flat index hi * ell +
+    lo; cross[u * ell + v, a2 * ell + a3] = (u*a2 + v*a3) mod ell; and
+    zeros[sq, l * 3ell + f], the bitmask over a4 of the zeros of f + l*a4 +
+    sq*a4^2 mod ell, for f < 3ell and l < 2ell (uint16: ell <= 16)."""
+    hi, lo = np.divmod(np.arange(ell * ell, dtype=np.int16), ell)
+    a = np.arange(ell, dtype=np.int16)
+    # the masks of the residue pairs (hi, lo), folded by one gather
+    zero = (hi[:, None] + lo[:, None] * a + a[:, None, None] * a * a) % ell
+    lin, fix = np.divmod(np.arange(6 * ell * ell), 3 * ell)
+    tables = (np.array([hi * hi, hi * lo, lo * lo, hi, lo]),
+              (hi[:, None] * hi + lo[:, None] * lo) % ell,
+              ((zero == 0) << a).sum(axis=-1, dtype=np.uint16)[
+                  :, fix % ell * ell + lin % ell])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _residue_table(c0: dict, c1: dict, ell: int) -> np.ndarray:
     """Mask table M[a0, a1, a2, a3] over residues mod ell (uint16): bit a4
-    is set iff both integer forms vanish at (a0, ..., a4) mod ell.
+    is set iff both integer forms vanish at (a0, ..., a4) mod ell.  Every
+    integer point reduces onto a set bit, whether or not the reduction mod
+    ell is good, so the table only ever discards tuples with no solution.
 
-    As a polynomial in a4 each form is fixed + linear*a4 + sq*a4^2, with
-    fixed and linear forms in a0..a3.  Both are evaluated once over the
-    ell^4 grid and reduced mod ell; then M = Z0[fixed0*ell + linear0] &
-    Z1[fixed1*ell + linear1], where Zk holds the zero bitmask over a4 of
-    each (fixed, linear) residue pair (_zero_masks).  Every integer point
-    reduces onto a set bit, whether or not the reduction mod ell is good,
-    so the table only ever discards tuples with no solution.
+    Each form is fixed + linear*a4 + sq*a4^2.  On the split grid p = (a0,
+    a1), q = (a2, a3), each an ell^2 flat index, fixed = A(p) + B(q) +
+    u(p)*a2 + v(p)*a3 and linear = L1(p) + L2(q), whose parts are one
+    product with the monomials of a pair, reduced mod ell on ell^2 arrays.
+    On the ell^4 grid, one slab per form, the row gather cross[u * ell + v]
+    and two broadcast sums give idx = (L1 + L2) * 3ell + A + B + cross, and
+    M = zeros[sq0][idx0] & zeros[sq1][idx1] (_ell_tables): no division.
 
-    fixed is built in Horner order, one coordinate at a time, so most
-    products run on grids of fewer dimensions: fixed_k = fixed_(k-1) +
-    (col_k + r_kk*a_k)*a_k mod ell, where col_k = sum_(i<k) r_ik*a_i is
-    kept unreduced.  The sums run in int16 on residues in [0, ell): a
-    step adds a residue to at most four terms, each a coefficient residue
-    times two coordinate residues, so no sum exceeds RESIDUE_BOUND.
+    The int16 bound: A, B and cross are residues, so fixed <= 3(ell - 1),
+    and linear <= 2(ell - 1).  Every term is nonnegative, so every int16
+    value on the grid is at most idx <= 2(ell - 1) * 3ell + 3(ell - 1) <
+    6 ell^2 = RESIDUE_BOUND (1,014 for ell = 13), and idx lies in zeros.
     """
-    a = np.arange(ell, dtype=np.int16)
-    times = np.outer(a, a)                  # times[c] = c * a
-    masks = None
-    for cs in (c0, c1):
-        r = {k: v % ell for k, v in cs.items()}
-        fixed = np.zeros((), dtype=np.int16)
-        # cols[j]: sum of r[i, j] * a_i over the coordinates i < k so far;
-        # cols[4] ends as the part linear in a4
-        cols = [fixed] * 5
-        for k in range(4):
-            fixed = _reduce(fixed[..., None]
-                            + (cols[k][..., None] + times[r[k, k]]) * a, ell)
-            for j in range(k + 1, 5):
-                cols[j] = cols[j][..., None] + times[r[k, j]]
-        cell = np.take(_zero_masks(r[4, 4], ell),
-                       fixed * ell + _reduce(cols[4], ell))
-        masks = cell if masks is None else masks & cell
-    return masks
+    mono, cross, zeros = _ell_tables(ell)
+    rs = [{k: v % ell for k, v in cs.items()} for cs in (c0, c1)]
+    # A, B, u, v, L1, L2 of each form over hi^2, hi*lo, lo^2, hi, lo
+    parts = np.array([[[r[0, 0], r[0, 1], r[1, 1], 0, 0],
+                       [r[2, 2], r[2, 3], r[3, 3], 0, 0],
+                       *([0, 0, 0, r[0, k], r[1, k]] for k in (2, 3, 4)),
+                       [0, 0, 0, r[2, 4], r[3, 4]]] for r in rs])
+    A, B, u, v, L1, L2 = np.moveaxis(parts @ mono % ell, 1, 0)
+    idx = np.take(cross, u * ell + v, axis=0)
+    idx += (A + 3 * ell * L1).astype(np.int16)[..., None]
+    idx += (B + 3 * ell * L2).astype(np.int16)[:, None, :]
+    return (np.take(zeros[rs[0][4, 4]], idx[0])
+            & np.take(zeros[rs[1][4, 4]], idx[1])).reshape((ell,) * 4)
 
 
 def _stack(tables):
@@ -201,6 +196,22 @@ def _pack_rows(t: np.ndarray, words: int) -> np.ndarray:
     out = np.zeros(packed.shape[:-1] + (8 * words,), dtype=np.uint8)
     out[..., :packed.shape[-1]] = packed
     return out.view(np.uint64)
+
+
+def _class_rows(r: np.ndarray, ell: int, words: int) -> np.ndarray:
+    """W[c], c < ell: the bit row of the columns with residue c in r."""
+    return _pack_rows(r == np.arange(ell)[:, None], words)
+
+
+def _bit_rows(m4: np.ndarray, W: np.ndarray):
+    """The x3 rows (where m4 is nonzero) and x2 rows (where it is nonzero
+    for some a3) of a mask table over the columns of W, each one uint64
+    product of a 0/1 matrix with W.  The rows of W share no bit, so every
+    sum is their OR; the x2 rows read the row sums of the x3 product."""
+    ell = len(W)
+    t = (m4 != 0).reshape(-1, ell).astype(np.uint64) @ np.hstack(
+        [W, np.ones((ell, 1), dtype=np.uint64)])
+    return t[:, :-1], (t[:, -1] != 0).reshape(-1, ell).astype(np.uint64) @ W
 
 
 def _live_cells(rows: np.ndarray, width: int):
@@ -224,22 +235,12 @@ def search(V: DP4Surface, H: int) -> SearchResult:
     ells = np.array(SIEVE_PRIMES)[:, None]
     res = np.arange(-H, H + 1) % ells       # (primes, width) residues
     bits = (1 << res).astype(np.uint16)     # the x4 bit of each residue
-    masks, x3rows, x2rows = [], [], []
-    for ell, r in zip(SIEVE_PRIMES, res):
-        m4 = _residue_table(c0, c1, ell)
-        t4 = m4 != 0
-        masks.append(m4.ravel())
-        # bit rows over the searched coordinates: the x3 row of each
-        # (a0, a1, a2) in t4 and the x2 row of each (a0, a1) in
-        # t4.any(axis=3); np.take gathers them contiguously, which
-        # packbits reads about twice as fast as the strided t4[..., r]
-        x3rows.append(_pack_rows(np.take(t4, r, axis=3), words)
-                      .reshape(ell ** 3, words))
-        x2rows.append(_pack_rows(np.take(t4.any(axis=3), r, axis=2), words)
-                      .reshape(ell ** 2, words))
+    tables = [_residue_table(c0, c1, ell) for ell in SIEVE_PRIMES]
+    x3rows, x2rows = zip(*(_bit_rows(m4, _class_rows(r, len(m4), words))
+                           for m4, r in zip(tables, res)))
     x2rows, off2 = _stack(x2rows)
     x3rows, off3 = _stack(x3rows)
-    masks, off4 = _stack(masks)
+    masks, off4 = _stack([m4.ravel() for m4 in tables])
     # idx[e], a row of a stacked table, is prime e's residue index of the
     # coordinates so far plus its offset; one more coordinate with column
     # i makes it idx * ell + code[e, i] in the next table
@@ -303,6 +304,5 @@ def search(V: DP4Surface, H: int) -> SearchResult:
                 sieve_x4(*(np.concatenate(a, axis=-1) for a in zip(*waiting)))
                 waiting, size = [], 0
 
-    pts = sorted(found)
-    return SearchResult(pts, H, elapsed_ms=(time.monotonic() - t0) * 1000,
-                        sieve=counts)
+    return SearchResult(sorted(found), H, sieve=counts,
+                        elapsed_ms=(time.monotonic() - t0) * 1000)

@@ -221,15 +221,17 @@ def test_anchored_class_members_is_a_fresh_list():
 
 
 def test_import_builds_no_table():
-    """The product tables and the group are built on first use: importing
-    the library leaves every cache empty."""
+    """The product tables, the group and the per-ell tables of the residue
+    sieve are built on first use: importing the library leaves every cache
+    empty."""
     code = ("import cubicdescent.frobenius\n"
-            "from cubicdescent import lines27 as m\n"
+            "from cubicdescent import lines27 as m, pointsearch as s\n"
             "print(m.full_group.cache_info().currsize,"
             " m._tables.cache_info().currsize,"
-            " m._anchored_index.cache_info().currsize)")
+            " m._anchored_index.cache_info().currsize,"
+            " s._ell_tables.cache_info().currsize)")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0"]

@@ -95,9 +95,9 @@ def test_result_sorted_and_deduplicated():
 
 def test_residue_bound_fits_int16():
     int16_max = np.iinfo(np.int16).max
-    assert RESIDUE_BOUND == 15 * (max(SIEVE_PRIMES) - 1) ** 3 <= int16_max
-    assert 15 * (17 - 1) ** 3 > int16_max      # the next prime would wrap
-    # the bound is reached when every coefficient and residue is ell - 1;
+    assert RESIDUE_BOUND == 6 * max(SIEVE_PRIMES) ** 2 <= int16_max
+    assert 6 * 79 ** 2 > int16_max >= 6 * 73 ** 2   # ell = 79 would wrap
+    # every coefficient at its largest residue, ell - 1;
     # there Q = -sum_{i<=j} a_i a_j = -((sum a)^2 + sum a^2) / 2 (mod ell)
     ell = max(SIEVE_PRIMES)
     worst = {(i, j): ell - 1 for i in range(5) for j in range(i, 5)}
@@ -107,6 +107,55 @@ def test_residue_bound_fits_int16():
                      if ((sum(a) + a4) ** 2 + sum(x * x for x in a) + a4 * a4)
                      // 2 % ell == 0)
         assert table[a] == expect, a
+
+
+def test_ell_tables_are_read_only():
+    for table in pointsearch._ell_tables(max(SIEVE_PRIMES)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.flat[0] = 1
+
+
+def _packbits_rows(t, words):
+    """Oracle: the rows along the last axis of the boolean array t, packed
+    by np.packbits and zero padded to `words` uint64 words."""
+    packed = np.packbits(t, axis=-1)
+    out = np.zeros(packed.shape[:-1] + (8 * words,), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
+@pytest.mark.parametrize("H", [1, 31, 32, 63, 64])
+@pytest.mark.parametrize("ell", SIEVE_PRIMES)
+def test_product_rows_against_packbits(ell, H):
+    """The x3 and x2 rows as uint64 products equal the rows np.packbits
+    makes of the table read at the residues of -H..H (widths 3, 63, 65,
+    127 and 129: each side of a word boundary), on a table of a seeded
+    pair and on a seeded table with about half its cells zero.  The rows
+    of W share no bit, so no sum of the products carries."""
+    width = 2 * H + 1
+    words = -(-width // 64)
+    r = np.arange(-H, H + 1) % ell
+    W = pointsearch._class_rows(r, ell, words)
+    assert W.shape == (ell, words)
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            assert not (W[i] & W[j]).any(), (i, j)
+    assert np.array_equal(np.bitwise_or.reduce(W, axis=0),
+                          _packbits_rows(np.ones(width, dtype=bool), words))
+    rng = random.Random(ell * 100 + H)
+    gen = np.random.default_rng(ell * 100 + H)
+    cells = gen.integers(1, 1 << ell, size=(ell,) * 4, dtype=np.uint16)
+    for m4 in (_residue_table(_random_coeffs(rng, 10 ** 6),
+                              _random_coeffs(rng, 10 ** 6), ell),
+               np.where(gen.random((ell,) * 4) < 0.5, 0, cells)):
+        t4 = m4 != 0
+        x3, x2 = pointsearch._bit_rows(m4, W)
+        assert np.array_equal(x3, _packbits_rows(
+            np.take(t4, r, axis=3), words).reshape(ell ** 3, words))
+        assert np.array_equal(x2, _packbits_rows(
+            np.take(t4.any(axis=3), r, axis=2), words).reshape(ell ** 2,
+                                                                words))
 
 
 def _dp4(c0, c1):
