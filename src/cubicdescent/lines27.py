@@ -16,8 +16,9 @@ class 3l - e1 - ... - e6.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations, product
+from operator import or_
 
 # ---------------------------------------------------------------------------
 # labels and Picard vectors
@@ -216,11 +217,17 @@ def _tables() -> tuple:
     return full_group(), perm_mul, perm_act, sign_mul
 
 
+@cache
+def _perm27(k: int) -> tuple:
+    """act_on_27 of element k, built on its first use."""
+    return act_on_27(full_group()[k])
+
+
 def orbits(generators) -> list:
     """Sorted orbit-length multiset of the generated subgroup on the 27
     labels.  Each inverse is a power of its element, so images under the
     generators alone reach the whole orbit."""
-    perms = [act_on_27(g) for g in generators]
+    perms = [_perm27(g.index) for g in generators]
     seen = [False] * N_LINES
     sizes = []
     for start in range(N_LINES):
@@ -373,6 +380,39 @@ def class_representative(cls: tuple) -> GroupElt:
     return GroupElt(tuple(t), tuple(sigma))
 
 
+@cache
+def _subgroup_table() -> tuple:
+    """(plain class -> its mask bit, rows (order, generators, mask)) of
+    the shipped table of the 197 subgroup classes, read on first use."""
+    from . import subgroup_table
+    bits = {c: 1 << i for i, c in enumerate(subgroup_table.ELEMENT_CLASSES)}
+    return bits, subgroup_table.SUBGROUP_CLASSES
+
+
+@cache
+def _class_bit(k: int) -> int:
+    """The table's mask bit for the plain class (frob_class()) of element
+    k, computed on its first use."""
+    return _subgroup_table()[0][full_group()[k].frob_class()]
+
+
+def cover_order_bound(members) -> int | None:
+    """A lower bound on the order of any subgroup meeting every list of
+    elements: the least order of a table class whose mask meets each
+    list's plain classes.  Such a subgroup is conjugate to a table class
+    of its order that meets the same plain classes, so none is smaller.
+    None when a list is empty, as no subgroup then meets every list."""
+    needs = {reduce(or_, map(_class_bit, [g.index for g in m]), 0)
+             for m in members}
+    if 0 in needs:
+        return None
+    # a list within one plain class needs that class: one subset test
+    whole = reduce(or_, (n for n in needs if not n & (n - 1)), 0)
+    mixed = [n for n in needs if n & (n - 1)]
+    return next(order for order, _, mask in _subgroup_table()[1]
+                if mask & whole == whole and all(mask & n for n in mixed))
+
+
 def minimal_cover_subgroup(classes):
     """Smallest subgroup containing an element of every given conjugacy
     class, by backtracking over class representatives.
@@ -387,12 +427,23 @@ def minimal_cover_subgroup(classes):
     the bound, and the bound only falls, so a revisit cannot find a
     smaller group.  Returns (sorted elements, chosen representatives).
 
+    A cover replaces the best one only when it is strictly smaller, so
+    the result is the first cover of least order that the search meets.
+    No cover is smaller than cover_order_bound, read from the table of
+    subgroup classes, so the search stops at its first cover of that
+    order and returns what the full search would.  Where the anchored
+    lists are finer than plain classes the bound can lie below every
+    cover, and the search then runs to its end.
+
     `classes` may be plain (length, sign) multisets or prebuilt candidate
     element lists.
     """
     members = [c if isinstance(c, list) else class_members(c)
                for c in classes]
     members.sort(key=len)
+    bound = cover_order_bound(members)
+    if bound is None:
+        return None, None
     best_elems: set | None = None
     best_chosen: list | None = None
     visited = set()
@@ -414,14 +465,14 @@ def minimal_cover_subgroup(classes):
             grow(chosen + [inside], elems, gens, k + 1)
             return
         for cand in members[k]:
+            if best_elems is not None and len(best_elems) == bound:
+                return
             limit = (len(best_elems) - 1) if best_elems is not None else 1920
             grown = _extend(elems, gens, cand.index, limit)
             if grown is not None:
                 grow(chosen + [cand], grown, gens + [cand.index], k + 1)
 
     grow([], {0}, [], 0)
-    if best_elems is None:
-        return None, None
     grp = _tables()[0]
     return (sorted((grp[k] for k in best_elems), key=lambda g: (g.sigma, g.t)),
             best_chosen)

@@ -13,8 +13,9 @@ import cubicdescent as cd
 from cubicdescent import frobenius
 from cubicdescent.lines27 import (GroupElt, _blocks_from_sizes, _tables,
                                   anchored_class_members, anchored_frob_data,
-                                  class_members, full_group,
-                                  minimal_cover_subgroup, subgroup_closure)
+                                  class_members, cover_order_bound,
+                                  full_group, minimal_cover_subgroup,
+                                  subgroup_closure)
 
 from conftest import PAPER_P
 
@@ -166,7 +167,8 @@ def test_fit_matches_oracle_on_seeded_quintics():
     assert len(set(orders)) >= 4
 
 
-@pytest.mark.parametrize("sizes", [(5,), (1, 2, 2), (2, 3)])
+@pytest.mark.parametrize("sizes", [(5,), (1, 2, 2), (2, 3), (1, 4),
+                                   (1, 1, 3), (1, 1, 1, 2), (1, 1, 1, 1, 1)])
 def test_fit_matches_oracle_on_subgroup_samples(sizes):
     """Member lists of the anchored classes of a few elements drawn from
     a random block-preserving subgroup of order at most 96."""
@@ -186,6 +188,21 @@ def test_fit_matches_oracle_on_subgroup_samples(sizes):
         # the picks generate a subgroup of group meeting every class
         assert len(assert_same_fit(member_lists)) <= len(group)
         fits += 1
+
+
+def test_bound_is_at_most_the_fitted_order(galois_fit_inputs):
+    """The table's bound never exceeds the order of the group fitted, on
+    the galois-fit inputs and the seeded quintics."""
+    for coeffs in galois_fit_inputs + seeded_quintics(3, 10):
+        member_lists = sampled_member_lists(coeffs)
+        elems, _ = minimal_cover_subgroup(member_lists)
+        assert cover_order_bound(member_lists) <= len(elems)
+
+
+def test_bound_of_an_empty_list_is_none():
+    assert cover_order_bound([[GroupElt.identity()], []]) is None
+    assert minimal_cover_subgroup([[GroupElt.identity()], []]) == (None,
+                                                                   None)
 
 
 def test_oracle_closure_matches_subgroup_closure():

@@ -198,7 +198,9 @@ def test_euler_cubic_census_and_counts_match_frobenius(paper_strategy):
 def test_sampling_generic_quintic_order_384():
     """A quintic outside the benchmark's list: the backtracking in
     minimal_cover_subgroup grows its subgroups by cosets to one of order
-    384 (tests/test_cover_fit.py checks it against the old search)."""
+    384, and stops there, as the table of subgroup classes has no smaller
+    class meeting every sampled plain class (tests/test_cover_fit.py
+    checks it against the old search)."""
     from cubicdescent.descent import run_strategy
     from cubicdescent.unipoly import UniPoly
 
@@ -207,3 +209,20 @@ def test_sampling_generic_quintic_order_384():
     assert sr.sample_count == 40
     assert sr.subgroup_order == 384
     assert sr.orbit_lengths == [1, 2, 8, 16]
+
+
+def test_sampling_full_group_quintic_under_a_second():
+    """A quintic whose sampled classes only W(D5) meets: the fit stops at
+    its first cover of order 1920, the bound the table gives, instead of
+    ruling out every smaller group."""
+    import time
+
+    from cubicdescent.descent import run_strategy
+    from cubicdescent.unipoly import UniPoly
+
+    _, rep = run_strategy(UniPoly([-5, -1, 2, 2, 4, 1]))
+    start = time.perf_counter()
+    sr = sample_frobenius(rep)
+    assert time.perf_counter() - start < 1
+    assert sr.subgroup_order == 1920
+    assert sr.orbit_lengths == [1, 10, 16]
