@@ -21,9 +21,9 @@ from .geometry import (CubicSurface, cubic_to_dp4, dp4_to_cubic, greedy_reduce,
                        tritangent_analysis, tritangent_square_product)
 from .ideals import smooth_cubic_certificate, smooth_dp4
 from .pointsearch import search
-from .serialize import (emit_cubic, emit_dp4, emit_frobenius_report,
-                        emit_point, emit_radicand_report,
-                        emit_search_result, emit_tritangent_report,
+from .serialize import (_check_keys, _int_from, emit_cubic, emit_dp4,
+                        emit_frobenius_report, emit_point, emit_search_result,
+                        emit_radicand_report, emit_tritangent_report,
                         frac_from_str, parse_artifact, parse_cubic,
                         parse_descent_input, parse_dp4, parse_point,
                         parse_unipoly)
@@ -216,13 +216,13 @@ def run_pipeline(config: dict, report: dict | None = None) -> dict:
         raise E.SchemaError(f"unknown fields: {sorted(unknown)}")
     if "p" not in config or "height" not in config:
         raise E.InvalidConfigError("pipeline config needs p and height")
-    primes_cfg = config.get("primes", {"count": 40, "bound": 500})
-    try:
-        height = int(config["height"])
-        prime_count = int(primes_cfg.get("count", 40))
-        prime_bound = int(primes_cfg.get("bound", 500))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise E.InvalidConfigError(f"bad pipeline config: {exc}") from None
+    primes_cfg = config.get("primes", {})
+    if not isinstance(primes_cfg, dict):
+        raise E.InvalidConfigError("primes must be an object")
+    _check_keys(primes_cfg, set(), {"count", "bound"})
+    height = _int_from(config["height"], "height")
+    prime_count = _int_from(primes_cfg.get("count", 40), "primes.count")
+    prime_bound = _int_from(primes_cfg.get("bound", 500), "primes.bound")
     if height < 1:
         raise E.InvalidConfigError("height must be positive")
     timings: dict = {}

@@ -3,12 +3,15 @@
 Quadratic forms are symmetric Gram matrices over Q, as integer numerators
 over one denominator (half-integer entries appear when polynomial cross
 coefficients are odd); cubic forms in four variables are sparse
-exponent-tuple maps.  Projective points are primitive integer vectors
-with the first nonzero coordinate positive.
+exponent-tuple maps of integer numerators over one denominator, which one
+kernel, _expand, multiplies out under an integer change of variables.
+Projective points are primitive integer vectors with the first nonzero
+coordinate positive.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from operator import mul
 
@@ -178,101 +181,124 @@ class LinForm:
         return f"LinForm({list(self.coeffs)})"
 
 
-def _eval_map(coeffs: dict, v) -> Fraction:
-    """Value of the form {exponent: coefficient} at the point v."""
-    total = Fraction(0)
-    for e, c in coeffs.items():
-        t = c
-        for x, k in zip(v, e):
-            for _ in range(k):
-                t *= x
-        total += t
-    return total
+def _expand(num: dict, rows) -> dict:
+    """The integer coefficients {exponent: c} of F(M * y), F homogeneous
+    with the integer coefficients num and M the integer matrix with the
+    given rows.  A term is keyed by the indices i of its factors x_i not
+    yet expanded, sorted, and its monomial in y, held as one integer
+    sum f_j * b^j (b above the degree, so a product is a sum); each round
+    expands one factor x_i of every term into row_i . y."""
+    if not num:
+        return {}
+    b = sum(next(iter(num))) + 1
+    lin = [[(b ** j, a) for j, a in enumerate(row) if a] for row in rows]
+    terms = {(tuple(i for i, k in enumerate(e) for _ in range(k)), 0): c
+             for e, c in num.items()}
+    for _ in range(b - 1):
+        nxt = defaultdict(int)
+        for (f, m), c in terms.items():
+            rest = f[1:]
+            for s, a in lin[f[0]]:
+                nxt[rest, m + s] += c * a
+        terms = nxt
+    return {tuple(m // b ** j % b for j in range(len(rows[0]))): c
+            for (_, m), c in terms.items() if c}
+
+
+def _eval_map(num: dict, den: int, point) -> Fraction:
+    """Value of the form num / den at the point: _expand on its numerators
+    over d as one column, divided by den * d^degree."""
+    x, d = over_common_denominator(point)
+    out = _expand(num, [[v] for v in x])
+    return sum((Fraction(v, den * d ** k) for (k,), v in out.items()),
+               Fraction(0))
 
 
 class CubicForm4:
-    """Cubic form in 4 variables: map from exponent 4-tuples (sum 3) to
-    nonzero rational coefficients."""
+    """Cubic form in 4 variables: its nonzero coefficients as the integer
+    numerators num ({exponent 4-tuple (sum 3): int}) over one positive
+    denominator den, in lowest terms.  Kernels run on num and divide once,
+    at the end; coeffs gives the rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: dict):
-        clean = {}
+        clean: dict = {}
         for e, c in coeffs.items():
             e = tuple(int(v) for v in e)
             if len(e) != 4 or any(v < 0 for v in e) or sum(e) != 3:
                 raise PreconditionError(f"bad exponent tuple {e}")
-            c = as_fraction(c)
-            if c != 0:
-                clean[e] = clean.get(e, Fraction(0)) + c
-        self.coeffs = {e: c for e, c in clean.items() if c != 0}
+            clean[e] = clean.get(e, 0) + as_fraction(c)
+        # a zero has denominator 1, so dropping it keeps den
+        nums, self.den = over_common_denominator(clean.values())
+        self.num = {e: v for e, v in zip(clean, nums) if v}
+
+    @classmethod
+    def _from_num(cls, num: dict, den: int) -> "CubicForm4":
+        """The form with the integer coefficients num over den != 0,
+        zeros dropped, in lowest terms."""
+        num = {e: v for e, v in num.items() if v}
+        f = cls.__new__(cls)
+        vals, f.den = lowest_terms(num.values(), den)
+        f.num = dict(zip(num, vals))
+        return f
+
+    @property
+    def coeffs(self) -> dict:
+        """{exponent: Fraction} of the nonzero coefficients."""
+        return {e: Fraction(v, self.den) for e, v in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def evaluate(self, point) -> Fraction:
-        return _eval_map(self.coeffs, [as_fraction(x) for x in point])
+        return _eval_map(self.num, self.den, point)
+
+    def _partials(self) -> list:
+        """The numerators over den of the four partial derivatives."""
+        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
+                 for e, v in self.num.items() if e[i]} for i in range(4)]
 
     def partials(self) -> list:
         """The four partial derivatives dF/dx_i as coefficient maps
         {exponent (sum 2): coefficient}; a partial that vanishes is {}."""
-        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                 for e, c in self.coeffs.items() if e[i]} for i in range(4)]
+        return [{e: Fraction(v, self.den) for e, v in d.items()}
+                for d in self._partials()]
 
     def gradient(self, point) -> tuple:
-        v = [as_fraction(x) for x in point]
-        return tuple(_eval_map(d, v) for d in self.partials())
+        return tuple(_eval_map(d, self.den, point) for d in self._partials())
 
     def substitute(self, change: Matrix) -> "CubicForm4":
-        """Form composed with x -> change * x."""
+        """Form composed with x -> change * x: _expand on the numerators
+        of change over d, divided by den * d^3."""
         if change.rows != 4 or change.cols != 4:
             raise PreconditionError("change of variables must be 4x4")
-        rows = [change.row(i) for i in range(4)]
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            lin_factors = []
-            for i in range(4):
-                lin_factors.extend([rows[i]] * e[i])
-            acc = {(0, 0, 0, 0): c}
-            for lin in lin_factors:
-                nxt: dict = {}
-                for mono, cc in acc.items():
-                    for j in range(4):
-                        if lin[j] == 0:
-                            continue
-                        m2 = list(mono)
-                        m2[j] += 1
-                        m2 = tuple(m2)
-                        nxt[m2] = nxt.get(m2, Fraction(0)) + cc * lin[j]
-                acc = nxt
-            for mono, cc in acc.items():
-                out[mono] = out.get(mono, Fraction(0)) + cc
-        return CubicForm4(out)
+        c = change.num
+        return CubicForm4._from_num(
+            _expand(self.num, [c[4 * i:4 * i + 4] for i in range(4)]),
+            self.den * change.den ** 3)
 
     def primitive_coeffs(self):
         """(content, integer coefficient map) with content * ints == self,
         the coefficient at the largest exponent positive; the map runs in
         descending exponent order."""
-        exps = sorted(self.coeffs, reverse=True)
-        content, ints = primitive_part(self.coeffs[e] for e in exps)
-        return content, dict(zip(exps, ints))
+        exps = sorted(self.num, reverse=True)
+        content, ints = primitive_part(self.num[e] for e in exps)
+        return content / self.den, dict(zip(exps, ints))
 
     def max_abs_coeff(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return max(abs(c) for c in self.coeffs.values())
+        return Fraction(max(map(abs, self.num.values()), default=0), self.den)
 
     def __eq__(self, other):
-        return isinstance(other, CubicForm4) and self.coeffs == other.coeffs
+        return (isinstance(other, CubicForm4) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+        return hash((tuple(sorted(self.num.items())), self.den))
 
     def __repr__(self):
-        terms = []
-        for e in sorted(self.coeffs, reverse=True):
-            terms.append(f"{self.coeffs[e]}*x^{e}")
-        return "CubicForm4(" + " + ".join(terms) + ")"
+        terms = sorted(self.coeffs.items(), reverse=True)
+        return "CubicForm4(" + " + ".join(f"{c}*x^{e}" for e, c in terms) + ")"
 
 
 class ProjPoint:
@@ -519,24 +545,11 @@ def pencil_determinant(q0: QuadForm, q1: QuadForm) -> BinaryQuintic:
 
 def line_section_cubic(s: CubicForm4, line: ProjLine) -> list:
     """Coefficients [c0..c3] of S(u*P + v*Q) as a binary cubic in (u, v):
-    c_k multiplies u^k * v^(3-k).  Runs on the coefficients over their
-    common denominator and the integer points, and divides once."""
+    c_k multiplies u^k * v^(3-k).  _expand on the integer columns [P Q],
+    divided once by den."""
     p, q = line.points
-    nums, d = over_common_denominator(s.coeffs.values())
-    out = [0] * 4
-    for e, c in zip(s.coeffs, nums):
-        acc = [c, 0, 0, 0]
-        deg = 0
-        for a, b, k in zip(p, q, e):
-            for _ in range(k):
-                # acc <- acc * (a*u + b*v)
-                for j in range(deg, -1, -1):
-                    acc[j + 1] += acc[j] * a
-                    acc[j] *= b
-                deg += 1
-        for j in range(4):
-            out[j] += acc[j]
-    return [Fraction(v, d) for v in out]
+    out = _expand(s.num, [[a, b] for a, b in zip(p, q)])
+    return [Fraction(out.get((k, 3 - k), 0), s.den) for k in range(4)]
 
 
 def contains_line(s: CubicForm4, line: ProjLine) -> bool:

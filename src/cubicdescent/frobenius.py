@@ -40,7 +40,7 @@ from .forms import CubicForm4
 from .gfpoly import (gp_rows_apply, gp_rows_compose, gp_rows_mul,
                      gp_rows_mul_matrix, gp_rows_pow, gp_rows_powers_of_x,
                      gp_rows_reduce)
-from .intfactor import over_common_denominator, primes_up_to
+from .intfactor import primes_up_to
 from .linalg import column_ranks_mod_p
 from .lines27 import (GroupElt, anchored_class_members, class_representative,
                       minimal_cover_subgroup, orbits, pic_trace_of_class)
@@ -86,19 +86,18 @@ def _reduce(nums, den: int, q: int) -> list:
     return [n * inv % q for n in nums]
 
 
-def _residues(coeffs: dict, p: int) -> dict:
-    """The nonzero residues {exponent: c mod p} of a coefficient map: its
-    numerators over the common denominator, reduced by _reduce."""
-    nums, den = over_common_denominator(coeffs.values())
+def _residues(num: dict, den: int, p: int) -> dict:
+    """The nonzero residues {exponent: c mod p} of the coefficient map
+    with the integer numerators num over den, reduced by _reduce."""
     if den % p == 0:
         raise BadPrimeError(f"denominator divisible by {p}")
-    return {e: v for e, v in zip(coeffs, _reduce(nums, den, p)) if v}
+    return {e: v for e, v in zip(num, _reduce(num.values(), den, p)) if v}
 
 
 def reduce_cubic_mod_p(F: CubicForm4, p: int) -> dict:
     """Coefficient map of F mod p; flags p as bad when a denominator
     vanishes or the whole form does."""
-    out = _residues(F.coeffs, p)
+    out = _residues(F.num, F.den, p)
     if not out:
         raise BadPrimeError(f"cubic form vanishes mod {p}")
     return out
@@ -275,8 +274,8 @@ def singular_points_mod_p(F: CubicForm4, p: int) -> int:
     (a partial that vanishes mod p is the zero form)."""
     _check_p3_budget(p, DEFAULT_BUDGET)
     coeffs = reduce_cubic_mod_p(F, p)
-    return _count_zeros([coeffs] + [_residues(d, p) for d in F.partials()],
-                        4, p)
+    return _count_zeros(
+        [coeffs] + [_residues(d, F.den, p) for d in F._partials()], 4, p)
 
 
 def census_lines(F: CubicForm4, p: int, budget: int = DEFAULT_BUDGET) -> int:

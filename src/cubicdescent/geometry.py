@@ -16,16 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
 
 from .descent import DP4Surface
 from .errors import (DegeneratePencilError, DegenerateSurfaceError,
                      LineNotOnSurfaceError, PointNotOnSurfaceError,
                      PreconditionError)
 from .forms import (CubicForm4, LinForm, ProjLine, ProjPoint, QuadForm,
-                    _pencil_minor, contains_line, monomials_deg3,
+                    _expand, _pencil_minor, contains_line, monomials_deg3,
                     p1_normalize, pencil_determinant)
-from .intfactor import over_common_denominator, squarefree_class
+from .intfactor import (over_common_denominator, primitive_part,
+                        squarefree_class)
 from .linalg import Matrix, _int_det, _int_rank, nullspace, rank, solve_linear
 from .polyfactor import factor_unipoly
 from .unipoly import UniPoly
@@ -242,8 +242,8 @@ def dp4_to_cubic(V: DP4Surface, P: ProjPoint) -> CubicSurface:
                 e[k] += 1
                 e = tuple(e)
                 f_terms[e] = f_terms.get(e, 0) + sign * cc * lk
-    den = Q0.den * Q1.den
-    F = CubicForm4({e: Fraction(2 * v, den) for e, v in f_terms.items()})
+    F = CubicForm4._from_num({e: 2 * v for e, v in f_terms.items()},
+                             Q0.den * Q1.den)
     if F.is_zero():
         raise DegenerateSurfaceError("blow-up produces the zero cubic")
     return CubicSurface(F, known_line=ProjLine.from_forms(l0, l1))
@@ -385,20 +385,18 @@ SHEARS = tuple((i, j, s) for i in range(4) for j in range(4) if i != j
 @cache
 def _shear_terms() -> tuple:
     """For each move of SHEARS, the (source, target, factor) terms it adds
-    to a coefficient vector over monomials_deg3(): by the binomial theorem,
-    x^e gains C(e_i, m) * s^m * x^(e - m*u_i + m*u_j) for 1 <= m <= e_i."""
+    to a coefficient vector over monomials_deg3(): the image of each
+    monomial under I + s*E_ij, less the monomial itself (its one term with
+    the same exponent, coefficient 1)."""
     monos = monomials_deg3()
     index = {e: k for k, e in enumerate(monos)}
     table = []
     for i, j, s in SHEARS:
-        terms = []
-        for src, e in enumerate(monos):
-            for m in range(1, e[i] + 1):
-                f = list(e)
-                f[i] -= m
-                f[j] += m
-                terms.append((src, index[tuple(f)], comb(e[i], m) * s ** m))
-        table.append(tuple(terms))
+        rows = [[int(a == b) + s * ((a, b) == (i, j)) for b in range(4)]
+                for a in range(4)]
+        table.append(tuple((src, index[f], c) for src, e in enumerate(monos)
+                           for f, c in _expand({e: 1}, rows).items()
+                           if f != e))
     return tuple(table)
 
 
@@ -419,13 +417,13 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
     it strictly lowers (max |coefficient|, sum of squares); deterministic
     first-improvement scan; stops at a local minimum.
 
-    The moves act on the primitive integer coefficients directly: a shear
-    is unimodular, so the coefficients stay primitive and the objective
-    needs no content.  The cumulative change matrix is recorded in the
+    The moves act on the integer numerators: a shear keeps their content
+    and a scaling keeps the objective's order, so the climb takes the steps
+    it would take on the primitive coefficients, which the result is
+    reduced to at the end.  The cumulative change matrix is recorded in the
     provenance so the input can be reproduced exactly."""
-    _, ints = S.F.primitive_coeffs()
     monos = monomials_deg3()
-    vec = [ints.get(e, 0) for e in monos]
+    vec = [S.F.num.get(e, 0) for e in monos]
     total = [[int(a == b) for b in range(4)] for a in range(4)]
     total_inv = [list(row) for row in total]
     best = _size(vec)
@@ -444,7 +442,6 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
                 total_inv[i] = [a - s * b
                                 for a, b in zip(total_inv[i], total_inv[j])]
                 break
-    _, ints = CubicForm4(dict(zip(monos, vec))).primitive_coeffs()
     change = Matrix.from_rows(total)
     line = None
     if S.known_line is not None:
@@ -452,5 +449,6 @@ def greedy_reduce(S: CubicSurface) -> CubicSurface:
         p, q = S.known_line.points
         line = ProjLine.from_points(ProjPoint(uinv.mul_vec(p.coords)),
                                     ProjPoint(uinv.mul_vec(q.coords)))
-    return CubicSurface(CubicForm4(ints), known_line=line,
+    F = CubicForm4._from_num(dict(zip(monos, primitive_part(vec)[1])), 1)
+    return CubicSurface(F, known_line=line,
                         provenance={"reduced_from": S, "change": change})

@@ -17,11 +17,12 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 
 from .errors import PreconditionError, ZeroPolynomialError
-from .forms import BinaryQuintic, CubicForm4, monomials_deg3
+from .forms import BinaryQuintic, CubicForm4, _expand, monomials_deg3
 from .intfactor import primitive_part
 from .linalg import Matrix, column_ranks_mod_p, rank
 
@@ -325,17 +326,19 @@ def smooth_cubic_certificate(S) -> tuple:
     F = S.F if hasattr(S, "F") else S
     if not isinstance(F, CubicForm4) or F.is_zero():
         raise ZeroPolynomialError("smoothness of a zero form")
-    ints = F.primitive_coeffs()[1]
     line = getattr(S, "known_line", None)
     if line is not None:
-        disc, resultant = _conic_bundle(ints, line)
+        disc, resultant = _conic_bundle(F.num, line)
         return resultant != 0 and _five_distinct_roots(disc), CONIC_BUNDLE
+    # divided by their content, the rank mod p is the primitive form's
+    g = gcd(*F.num.values())
     rows = []
-    for d in CubicForm4(ints).partials():
+    for d in F._partials():
         for m in monomials_deg3():
             row = [0] * len(_QUINTIC_COLUMN)
             for e, c in d.items():
-                row[_QUINTIC_COLUMN[tuple(a + b for a, b in zip(e, m))]] = int(c)
+                col = _QUINTIC_COLUMN[tuple(a + b for a, b in zip(e, m))]
+                row[col] = c // g
             rows.append(row)
     # reduced in Python integers: a coefficient may exceed int64
     residues = np.array([[[x % MACAULAY_PRIME for x in row] for row in rows]],
@@ -378,31 +381,12 @@ def _conic_bundle(ints: dict, line) -> tuple:
     c, d = next((c, d) for c in range(4) for d in range(c + 1, 4)
                 if p[c] * q[d] != p[d] * q[c])
     a, b = (m for m in range(4) if m not in (c, d))
-    # parts[deg in w][y-monomial index][power of w0]: the coefficient of
-    # w0^i w1^(deg - i) y2^(3 - deg - j) y3^j
-    parts = {deg: [[0] * (deg + 1) for _ in range(4 - deg)]
+    # parts[deg in w][j][i]: the coefficient of w0^i w1^(deg - i)
+    # y2^(3 - deg - j) y3^j in F on the columns [e_a e_b p q]
+    out = _expand(ints, [[m == a, m == b, p[m], q[m]] for m in range(4)])
+    parts = {deg: [[out.get((i, deg - i, 3 - deg - j, j), 0)
+                    for i in range(deg + 1)] for j in range(4 - deg)]
              for deg in (1, 2, 3)}
-    for e, coeff in ints.items():
-        factors = [m for m in range(4) for _ in range(e[m])]
-        # each factor x_m = y2 p_m + y3 q_m + [m = a] w0 + [m = b] w1
-        # contributes either its part on L or its w
-        for mask in range(1, 8):
-            w0 = w1 = 0
-            form = [coeff]
-            for bit, m in enumerate(factors):
-                if mask >> bit & 1:
-                    if m == a:
-                        w0 += 1
-                    elif m == b:
-                        w1 += 1
-                    else:
-                        break
-                else:
-                    form = [x * p[m] + y * q[m]
-                            for x, y in zip(form + [0], [0] + form)]
-            else:
-                for j, x in enumerate(form):
-                    parts[w0 + w1][j][w0] += x
     (y22, y23, y33), (ys2, ys3), (k,) = parts[1], parts[2], parts[3]
     det = [4 * x - y - z + u - v for x, y, z, u, v in zip(
         _bmul(_bmul(y22, y33), k), _bmul(y22, _bmul(ys3, ys3)),

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from numbers import Rational, Real
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PreconditionError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -39,9 +40,13 @@ _RHO_ROUNDS = 64
 
 
 def as_fraction(x) -> Fraction:
-    """x as a Fraction, without a copy when it is one already."""
+    """x as a Fraction, without a copy when it is one already.  A float,
+    numpy's included, raises PreconditionError: its binary value is
+    rarely the rational meant."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, Real) and not isinstance(x, Rational):
+        raise PreconditionError(f"{x!r} is a float, not a rational")
     return Fraction(x)
 
 

@@ -117,8 +117,8 @@ def parse_line(data) -> ProjLine:
 
 def emit_cubic(s) -> dict:
     F = s.F if isinstance(s, CubicSurface) else s
-    monos = [{"exponents": list(e), "coeff": frac_to_str(c)}
-             for e, c in sorted(F.coeffs.items(), reverse=True)]
+    monos = [{"exponents": list(e), "coeff": frac_to_str(Fraction(v, F.den))}
+             for e, v in sorted(F.num.items(), reverse=True)]
     out = {"schema": "cubic@1", "monomials": monos}
     if isinstance(s, CubicSurface):
         if s.known_line is not None:

@@ -7,11 +7,16 @@ resultants, which checks the pencil determinant.  trace_gram is the
 trace form as a Matrix, and split_idempotents and from_split_values
 build elements of a split algebra from their values at the roots.
 
-The fraction_* kernels are the linear algebra Matrix ran on when it held
-one Fraction per entry: Gaussian elimination over Q with linalg's pivot
-rule and a Fraction back-substitution, Faddeev-LeVerrier for the
+The fraction_* kernels on rows are the linear algebra Matrix ran on when
+it held one Fraction per entry: Gaussian elimination over Q with linalg's
+pivot rule and a Fraction back-substitution, Faddeev-LeVerrier for the
 characteristic polynomial, and the inertia of a symmetric matrix by a
-congruence diagonalisation.  They take lists of rows of rationals."""
+congruence diagonalisation.  They take lists of rows of rationals.
+
+fraction_substitute and fraction_evaluate are CubicForm4.substitute and
+evaluate as they ran when a cubic form held one Fraction per
+coefficient, and conic_bundle_by_masks is the conic bundle's expansion
+before the forms module's one expansion kernel replaced it."""
 
 from __future__ import annotations
 
@@ -21,7 +26,8 @@ from math import prod
 from cubicdescent.descent import _trace_form
 from cubicdescent.errors import NotEtaleError, ZeroPolynomialError
 from cubicdescent.etale import DEGREE
-from cubicdescent.forms import BinaryQuintic
+from cubicdescent.forms import BinaryQuintic, CubicForm4
+from cubicdescent.ideals import _bmul
 from cubicdescent.intfactor import (as_fraction, over_common_denominator,
                                     primitive_part)
 from cubicdescent.linalg import Matrix
@@ -480,3 +486,83 @@ def congruence_signature(rows) -> tuple:
             g[i][k] = Fraction(0)
     pos = sum(1 for v in pivots if v > 0)
     return pos, len(pivots) - pos, len(g) - len(pivots)
+
+
+def fraction_substitute(F: CubicForm4, change: Matrix) -> CubicForm4:
+    """F composed with x -> change * x, one Fraction per term: each
+    monomial multiplied out factor by factor over the rows of change."""
+    rows = [change.row(i) for i in range(4)]
+    out: dict = {}
+    for e, c in F.coeffs.items():
+        lin_factors = []
+        for i in range(4):
+            lin_factors.extend([rows[i]] * e[i])
+        acc = {(0, 0, 0, 0): c}
+        for lin in lin_factors:
+            nxt: dict = {}
+            for mono, cc in acc.items():
+                for j in range(4):
+                    if lin[j] == 0:
+                        continue
+                    m2 = list(mono)
+                    m2[j] += 1
+                    m2 = tuple(m2)
+                    nxt[m2] = nxt.get(m2, Fraction(0)) + cc * lin[j]
+            acc = nxt
+        for mono, cc in acc.items():
+            out[mono] = out.get(mono, Fraction(0)) + cc
+    return CubicForm4(out)
+
+
+def fraction_evaluate(coeffs: dict, point) -> Fraction:
+    """Value of the form {exponent: coefficient} at the point, one
+    Fraction product per term."""
+    v = [as_fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in coeffs.items():
+        t = as_fraction(c)
+        for x, k in zip(v, e):
+            for _ in range(k):
+                t *= x
+        total += t
+    return total
+
+
+def conic_bundle_by_masks(ints: dict, line) -> tuple:
+    """ideals._conic_bundle with its own expansion: each factor x_m of a
+    monomial becomes y2 p_m + y3 q_m + [m = a] w0 + [m = b] w1, and every
+    nonempty subset of the factors (a bit mask) is the set that gives its
+    w, the rest its part on L."""
+    p, q = (pt.coords for pt in line.points)
+    c, d = next((c, d) for c in range(4) for d in range(c + 1, 4)
+                if p[c] * q[d] != p[d] * q[c])
+    a, b = (m for m in range(4) if m not in (c, d))
+    parts = {deg: [[0] * (deg + 1) for _ in range(4 - deg)]
+             for deg in (1, 2, 3)}
+    for e, coeff in ints.items():
+        factors = [m for m in range(4) for _ in range(e[m])]
+        for mask in range(1, 8):
+            w0 = w1 = 0
+            form = [coeff]
+            for bit, m in enumerate(factors):
+                if mask >> bit & 1:
+                    if m == a:
+                        w0 += 1
+                    elif m == b:
+                        w1 += 1
+                    else:
+                        break
+                else:
+                    form = [x * p[m] + y * q[m]
+                            for x, y in zip(form + [0], [0] + form)]
+            else:
+                for j, x in enumerate(form):
+                    parts[w0 + w1][j][w0] += x
+    (y22, y23, y33), (ys2, ys3), (k,) = parts[1], parts[2], parts[3]
+    det = [4 * x - y - z + u - v for x, y, z, u, v in zip(
+        _bmul(_bmul(y22, y33), k), _bmul(y22, _bmul(ys3, ys3)),
+        _bmul(_bmul(y23, y23), k), _bmul(y23, _bmul(ys2, ys3)),
+        _bmul(y33, _bmul(ys2, ys2)))]
+    (f0, g0), (f1, g1), (f2, g2) = parts[1]
+    return BinaryQuintic(det), ((f0 * g2 - f2 * g0) ** 2
+                                - (f0 * g1 - f1 * g0) * (f1 * g2 - f2 * g1))

@@ -274,7 +274,11 @@ def test_cli_convert_malformed_point_exit_code(point, paper_dp4, tmp_path):
 
 @pytest.mark.parametrize("field", [{"height": "abc"},
                                    {"height": 5, "primes": {"count": "x"}},
-                                   {"height": 5, "primes": 7}])
+                                   {"height": 5, "primes": 7},
+                                   {"height": 4.5},
+                                   {"height": True},
+                                   {"height": 5, "primes": {"count": 2.5}},
+                                   {"height": 5, "primes": {"cont": 6}}])
 def test_cli_pipeline_malformed_config_exit_code(field, tmp_path):
     from cubicdescent.cli import main
 

@@ -22,6 +22,7 @@ from cubicdescent.pointsearch import verify_point
 from conftest import (PAPER_POINT, PAPER_Q0_COEFFS, PAPER_Q1_COEFFS,
                       random_cubic_with_line, random_dp4_with_point,
                       random_quadform)
+from oracles import fraction_substitute
 from test_forms import congruence_diagonal, form_of_rank
 
 
@@ -277,8 +278,8 @@ def _oracle_generators():
 
 
 def _oracle_greedy_reduce(S):
-    """greedy_reduce's hill-climb with every move a CubicForm4.substitute
-    by a Fraction matrix: (F, change, line)."""
+    """greedy_reduce's hill-climb with every move a Fraction substitution
+    (oracles.fraction_substitute): (F, change, line)."""
     _, ints = S.F.primitive_coeffs()
     current = CubicForm4(ints)
     total = Matrix.identity(4)
@@ -287,7 +288,7 @@ def _oracle_greedy_reduce(S):
     while improved:
         improved = False
         for g in _oracle_generators():
-            cand = current.substitute(g)
+            cand = fraction_substitute(current, g)
             val = _objective(cand)
             if val < best:
                 _, ci = cand.primitive_coeffs()
@@ -325,7 +326,7 @@ def test_integer_shears_match_substitute():
         F = CubicForm4(dict(zip(monos, vec)))
         for terms, g in zip(_shear_terms(), gens):
             assert CubicForm4(dict(zip(monos, _shear(vec, terms)))) \
-                == F.substitute(g)
+                == fraction_substitute(F, g)
 
 
 @pytest.mark.parametrize("point", PAPER_POINTS)

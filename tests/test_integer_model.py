@@ -1,6 +1,7 @@
 """The one integer model of a rational vector (intfactor.primitive_part and
-over_common_denominator), the conventions its callers read off it, and the
-one reduction of a coefficient map mod p."""
+over_common_denominator), the conventions its callers read off it, the
+one reduction of a coefficient map mod p, and the refusal of floats where
+rationals enter."""
 
 import ast
 import random
@@ -8,13 +9,15 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cubicdescent.errors import BadPrimeError, PreconditionError
-from cubicdescent.forms import CubicForm4, ProjPoint, p1_normalize
+from cubicdescent.forms import CubicForm4, LinForm, ProjPoint, p1_normalize
 from cubicdescent.frobenius import _residues
-from cubicdescent.intfactor import (lowest_terms, over_common_denominator,
-                                    primitive_part)
+from cubicdescent.intfactor import (as_fraction, lowest_terms,
+                                    over_common_denominator, primitive_part)
+from cubicdescent.linalg import Matrix
 from cubicdescent.unipoly import UniPoly
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubicdescent"
@@ -89,6 +92,13 @@ def test_caller_conventions():
     assert CubicForm4({}).primitive_coeffs() == (0, {})
 
 
+def _residues_of(coeffs, p):
+    """_residues of a rational coefficient map, written over its common
+    denominator."""
+    nums, den = over_common_denominator(coeffs.values())
+    return _residues(dict(zip(coeffs, nums)), den, p)
+
+
 def _residue_oracle(coeffs, p):
     """Each coefficient reduced on its own, by a Fermat inverse."""
     out = {}
@@ -114,18 +124,18 @@ def test_residues_against_per_coefficient_oracle(seed):
             expected = _residue_oracle(coeffs, p)
         except BadPrimeError as exc:
             with pytest.raises(BadPrimeError, match=str(exc)):
-                _residues(coeffs, p)
+                _residues_of(coeffs, p)
         else:
-            assert _residues(coeffs, p) == expected
+            assert _residues_of(coeffs, p) == expected
 
 
 def test_residues_bad_prime_on_one_denominator():
     coeffs = {(0,): 1, (1,): Fraction(2, 3), (2,): Fraction(5, 7)}
     with pytest.raises(BadPrimeError, match="denominator divisible by 7"):
-        _residues(coeffs, 7)
+        _residues_of(coeffs, 7)
     # 2/3 = 2 * 2 mod 5 and 5/7 vanishes; 2/3 = 2 * 4, 5/7 = 5 * 8 mod 11
-    assert _residues(coeffs, 5) == {(0,): 1, (1,): 4}
-    assert _residues(coeffs, 11) == {(0,): 1, (1,): 8, (2,): 7}
+    assert _residues_of(coeffs, 5) == {(0,): 1, (1,): 4}
+    assert _residues_of(coeffs, 11) == {(0,): 1, (1,): 8, (2,): 7}
 
 
 def _lcm_importers():
@@ -236,3 +246,27 @@ def test_reduce_dp4_against_per_coefficient_oracle(seed):
                     reduce_dp4_mod_p(V, p)
             else:
                 assert reduce_dp4_mod_p(V, p) == expected
+
+
+#: the ways a rational enters the integer model, each fed a float
+FLOAT_ENTRIES = {
+    "as_fraction": as_fraction,
+    "over_common_denominator": lambda x: over_common_denominator([1, x]),
+    "CubicForm4": lambda x: CubicForm4({(3, 0, 0, 0): x}),
+    "UniPoly": lambda x: UniPoly([x, 1]),
+    "Matrix.from_rows": lambda x: Matrix.from_rows([[x]]),
+    "LinForm": lambda x: LinForm([x, 0, 0, 1]),
+    "ProjPoint": lambda x: ProjPoint([x, 1]),
+}
+
+
+@pytest.mark.parametrize("entry", list(FLOAT_ENTRIES))
+def test_float_is_rejected(entry):
+    # 0.1 would be 3602879701896397/36028797018963968; even an exact
+    # binary value such as 0.5 or 2.0 is refused, numpy's floats included
+    for x in (0.1, 0.5, 2.0, np.float64(0.5), np.float32(0.5)):
+        with pytest.raises(PreconditionError, match="float"):
+            FLOAT_ENTRIES[entry](x)
+    # integers, numpy's included, Fractions and rational strings still enter
+    for x in (2, np.int64(2), Fraction(4, 2), "2"):
+        FLOAT_ENTRIES[entry](x)

@@ -222,12 +222,14 @@ def test_anchored_class_members_is_a_fresh_list():
 
 def test_import_builds_no_table():
     """The product tables, the group, the per-element 27-line permutations
-    and plain-class bits, the per-ell tables of the residue sieve and the
-    table of subgroup classes are built or loaded on first use: importing
-    the library leaves every cache empty and the table module unread."""
+    and plain-class bits, the per-ell tables of the residue sieve, the
+    reducer's shear table and the table of subgroup classes are built or
+    loaded on first use: importing the library leaves every cache empty
+    and the table module unread."""
     code = ("import sys\n"
             "import cubicdescent.frobenius\n"
-            "from cubicdescent import lines27 as m, pointsearch as s\n"
+            "from cubicdescent import geometry as g, lines27 as m,"
+            " pointsearch as s\n"
             "print(m.full_group.cache_info().currsize,"
             " m._tables.cache_info().currsize,"
             " m._anchored_index.cache_info().currsize,"
@@ -235,9 +237,10 @@ def test_import_builds_no_table():
             " m._class_bit.cache_info().currsize,"
             " m._subgroup_table.cache_info().currsize,"
             " s._ell_tables.cache_info().currsize,"
+            " g._shear_terms.cache_info().currsize,"
             " 'cubicdescent.subgroup_table' in sys.modules)")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.split() == ["0"] * 7 + ["False"]
+    assert out.stdout.split() == ["0"] * 8 + ["False"]
